@@ -12,9 +12,9 @@ samples, 64 classes):
 * **update latency** — ``update()`` of a full store at 1 / 4 / 16
   shards (the sharded fold only touches the routed shards);
 * **end-to-end serving throughput** — ``stream_deployment`` over a
-  drifting stream with a sharded interface vs the single-store
-  baseline, asserted no worse than ``PARITY`` of the single-store run
-  measured in the same process (and above the PR 2 absolute floor).
+  drifting stream with a sharded interface vs the 1-shard baseline,
+  asserted no worse than ``PARITY`` of the 1-shard run measured in the
+  same process (and above an absolute floor).
 
 Results land in ``out/BENCH_sharding.json``.  Run as a script with
 ``--smoke`` for a seconds-long, assertion-free pass (CI uses this to
@@ -46,7 +46,7 @@ RECALIBRATION_SPEEDUP_FLOOR = 3.0
 THROUGHPUT_FLOOR = 1000.0
 
 #: sharded decisions/sec must stay within this fraction of the
-#: single-store run measured in the same process (evaluation is
+#: 1-shard run measured in the same process (evaluation is
 #: shard-independent, so parity is expected; the margin absorbs noise)
 THROUGHPUT_PARITY = 0.7
 
@@ -136,8 +136,8 @@ def measure_update_latency(scale, shard_counts=(1, 4, 16), repeats=10):
     recomposition alone, what an async maintenance worker pays) and
     ``update_materialized_seconds`` (fold plus the lazy flat
     materialization a subsequent evaluate would trigger, the honest
-    sync-loop cost).  For ``n_shards=1`` the two coincide — the
-    single-store path composes eagerly.
+    sync-loop cost).  For ``n_shards=1`` the second adds the one
+    materialization of the single segment, which is the block itself.
     """
     new = _classification_batch(
         scale["batch"], scale["n_classes"], scale["n_features"], seed=1
@@ -181,7 +181,7 @@ def _make_blobs(n, n_classes=3, n_features=6, shift=0.0, seed=0):
 
 
 def measure_stream_throughput(n_stream=1000, n_shards=4, epochs=30):
-    """End-to-end serving loop: single store vs sharded, same stream."""
+    """End-to-end serving loop: 1 shard vs ``n_shards``, same stream."""
     X_train, y_train = _make_blobs(600, seed=0)
     X_a, y_a = _make_blobs(n_stream, seed=1)
     X_b, y_b = _make_blobs(n_stream, shift=3.0, seed=2)
@@ -204,7 +204,7 @@ def measure_stream_throughput(n_stream=1000, n_shards=4, epochs=30):
             loop=LoopConfig(batch_size=100, budget_fraction=0.1, epochs=10),
         )
 
-    single = run(1)
+    one_shard = run(1)
     sharded = run(n_shards)
     assert sharded.final_calibration_size <= 200
     assert sharded.n_shards == n_shards
@@ -212,7 +212,7 @@ def measure_stream_throughput(n_stream=1000, n_shards=4, epochs=30):
     return {
         "n_samples": sharded.n_samples,
         "n_shards": n_shards,
-        "single_store_decisions_per_second": round(single.decisions_per_second, 1),
+        "one_shard_decisions_per_second": round(one_shard.decisions_per_second, 1),
         "sharded_decisions_per_second": round(sharded.decisions_per_second, 1),
         "sharded_final_shard_sizes": list(sharded.final_shard_sizes),
         "sharded_n_flagged": sharded.n_flagged,
@@ -236,11 +236,11 @@ def test_update_latency_by_shard_count():
     outcome = measure_update_latency(FULL_SCALE)
     update_bench_json("BENCH_sharding.json", {"update_latency": outcome})
     # sharding must not regress steady-state update latency noticeably
-    single = outcome["by_shard_count"]["1"]["update_seconds"]
+    one_shard = outcome["by_shard_count"]["1"]["update_seconds"]
     sharded = outcome["by_shard_count"]["16"]["update_seconds"]
-    assert sharded <= 5.0 * single, (
-        f"16-shard update {sharded * 1e3:.2f} ms vs single-store "
-        f"{single * 1e3:.2f} ms"
+    assert sharded <= 5.0 * one_shard, (
+        f"16-shard update {sharded * 1e3:.2f} ms vs 1-shard "
+        f"{one_shard * 1e3:.2f} ms"
     )
 
 
@@ -248,14 +248,14 @@ def test_sharded_stream_throughput_parity():
     outcome = measure_stream_throughput()
     update_bench_json("BENCH_sharding.json", {"stream_deployment": outcome})
     sharded = outcome["sharded_decisions_per_second"]
-    single = outcome["single_store_decisions_per_second"]
+    one_shard = outcome["one_shard_decisions_per_second"]
     assert sharded >= THROUGHPUT_FLOOR, (
         f"sharded serving loop sustained only {sharded:.0f} decisions/sec "
         f"(floor {THROUGHPUT_FLOOR:.0f})"
     )
-    assert sharded >= THROUGHPUT_PARITY * single, (
+    assert sharded >= THROUGHPUT_PARITY * one_shard, (
         f"sharded serving loop at {sharded:.0f} decisions/sec fell below "
-        f"{THROUGHPUT_PARITY:.0%} of the single-store run ({single:.0f})"
+        f"{THROUGHPUT_PARITY:.0%} of the 1-shard run ({one_shard:.0f})"
     )
 
 

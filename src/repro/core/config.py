@@ -1,9 +1,9 @@
-"""Deployment configuration objects (the PR 9 API redesign).
+"""Deployment configuration objects.
 
-``stream_deployment`` grew one flat keyword per feature for eight PRs
-— 22 by the time the multi-process tier landed — and every new serving
-plane made the signature worse.  These frozen dataclasses group the
-knobs by the plane that consumes them:
+``stream_deployment`` (and its public door, ``repro.deploy``) takes its
+configuration as keyword-only config objects instead of one flat
+keyword per feature.  These frozen dataclasses group the knobs by the
+plane that consumes them:
 
 * :class:`LoopConfig` — the deployment loop itself (batching, relabel
   budget, drift monitor, model-update policy);
@@ -22,9 +22,8 @@ knobs by the plane that consumes them:
 All are frozen and validated at construction
 (:class:`~repro.core.exceptions.ConfigurationError`, which IS-A
 ``ValueError``), so a bad value fails where it was written, not deep
-inside a deployment run.  The legacy flat-kwarg spelling of
-``stream_deployment`` still works for one release behind a
-``DeprecationWarning`` shim that maps onto these objects.
+inside a deployment run.  They are the only spelling: the old flat
+keywords and positional values are rejected with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -55,7 +54,8 @@ class LoopConfig:
 
     Args:
         batch_size: micro-batch width (the serving quantum).
-        budget_fraction: share of flagged samples the oracle relabels.
+        budget_fraction: share of flagged samples the oracle relabels,
+            in ``(0, 1]``.
         monitor: a preconfigured
             :class:`~repro.core.report.DriftMonitor` (or any
             monitor-protocol object); ``None`` builds the trigger stack
@@ -82,9 +82,9 @@ class LoopConfig:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
-        if not 0.0 <= self.budget_fraction <= 1.0:
+        if not 0.0 < self.budget_fraction <= 1.0:
             raise ConfigurationError(
-                f"budget_fraction must be in [0, 1], got {self.budget_fraction}"
+                f"budget_fraction must be in (0, 1], got {self.budget_fraction}"
             )
         if self.epochs < 1:
             raise ConfigurationError(

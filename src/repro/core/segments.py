@@ -578,33 +578,6 @@ def bundle_from_manifest(manifest: dict, attach) -> SegmentBundle:
     )
 
 
-def bundle_from_state(prom) -> SegmentBundle:
-    """Synthesize a single-segment bundle from a detector's flat state.
-
-    The export path for non-sharded runtimes, whose store rewrites its
-    buffers in place: every block is an owned copy taken here, so the
-    exported segments stay frozen while the store keeps mutating.
-    Sharded runtimes never take this path — their compose bundle's
-    copy-on-write blocks are exported directly.
-    """
-    regression = state_is_set(prom, "_clusters")
-    label_key = "_clusters" if regression else "_labels"
-    fields = {"_features": SegmentedField([np.array(prom._features)])}
-    fields[label_key] = SegmentedField([np.array(getattr(prom, label_key))])
-    if state_is_set(prom, "_targets"):
-        fields["_targets"] = SegmentedField([np.array(prom._targets)])
-    layouts = prom._layouts
-    return SegmentBundle(
-        fields=fields,
-        score_fields=[
-            SegmentedField([np.array(scores)]) for scores in prom._scores
-        ],
-        group_counts=[np.array(layout.group_counts) for layout in layouts],
-        label_key=label_key,
-        n_labels=layouts[0].n_labels,
-    )
-
-
 class TauSketch:
     """Incremental, bit-identical automatic-tau resolution (DESIGN.md §9).
 

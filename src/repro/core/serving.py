@@ -162,8 +162,7 @@ class ServingStats:
     structural sharing of segment-composed snapshots (DESIGN.md §6):
     per publish, how many shards' blocks were reused by identity from
     the previously published snapshot versus rebuilt because the shard
-    mutated.  Both stay 0 in single-store mode, where snapshots are
-    deep copies.
+    mutated.
 
     ``n_candidates_scored`` / ``n_shards_pruned`` account router-aware
     shard pruning (DESIGN.md §9) when a
@@ -251,7 +250,7 @@ class ComposeSnapshot:
     ``epoch`` is the streaming wrapper's epoch the snapshot was built
     at — ``live_epoch - snapshot.epoch`` mutations have happened since.
     ``shard_epochs`` tags the per-shard store epochs the snapshot's
-    blocks correspond to (empty in single-store mode), and
+    blocks correspond to, and
     ``blocks_shared`` counts how many shards' blocks this snapshot
     shares, by identity, with the previously published one — the
     observable form of the structural-sharing publish (DESIGN.md §6).
@@ -280,12 +279,11 @@ def freeze_interface(interface):
     The clone shares the (stateless) feature-extraction hook and the
     current model reference; the detector is the frozen clone from
     :meth:`~repro.core.streaming._ShardMixin.detector_snapshot` — a
-    structural-sharing snapshot over the segment compose layer when the
-    runtime is sharded, a deep copy otherwise.  Model updates applied
-    through :meth:`AsyncServingLoop.submit_model_update` swap the live
-    interface's ``model`` attribute for a fresh object instead of
-    mutating it (``isolate_model``), so the reference captured here
-    stays stable for the snapshot's lifetime.
+    structural-sharing snapshot over the segment compose layer.  Model
+    updates applied through :meth:`AsyncServingLoop.submit_model_update`
+    swap the live interface's ``model`` attribute for a fresh object
+    instead of mutating it (``isolate_model``), so the reference
+    captured here stays stable for the snapshot's lifetime.
     """
     frozen = copy.copy(interface)
     frozen.prom = interface.streaming.detector_snapshot()
@@ -695,11 +693,7 @@ class AsyncServingLoop:
         # the backlog's designated publisher: flush any deferred
         # publish so earlier applied jobs become visible (and drain()
         # leaves a current snapshot).
-        if self._publish_pending:
-            with self._state_lock:
-                if self._publish_pending and not self._queue:
-                    self._publish()
-                    self._publish_pending = False
+        self._flush_publish()
 
     def _execute(self, job: MaintenanceJob) -> None:
         """Apply one job under the maintenance mutex + shard write locks.
@@ -716,26 +710,25 @@ class AsyncServingLoop:
             self._faults.hit(f"job:{job.kind}")
         if job.kind == "checkpoint":
             # Checkpoints only read calibration state; the state lock
-            # alone pins it (no job mutates state without holding it),
-            # and nothing is published afterwards.
+            # alone pins it (no job mutates state without holding it).
             with self._state_lock:
                 self._run_checkpoint()
+            # The fold before this checkpoint may have deferred its
+            # publish to it; with nothing queued behind, flush it here
+            # or drain() would return on a stale snapshot.
+            self._flush_publish()
             return
         published = False
         with self._state_lock:
-            store = streaming.store
-            if streaming.is_sharded:
-                shard_ids = job.shard_ids if job.kind == "recalibrate" else None
-                with store.acquire_shards(shard_ids):
-                    self._apply(interface, job)
-            else:
+            shard_ids = job.shard_ids if job.kind == "recalibrate" else None
+            with streaming.store.acquire_shards(shard_ids):
                 self._apply(interface, job)
             # Publish once per burst, not once per job: with more work
             # already queued, this snapshot could never be the one a
-            # drained reader observes, so the O(store) copy is deferred
-            # to the backlog's last job (readers meanwhile keep the
-            # previous consistent snapshot; `staleness` already counts
-            # the queued jobs).  A sustained backlog must not starve
+            # drained reader observes, so the publish (and the view
+            # prewarm after it) is deferred to the backlog's last job
+            # (readers meanwhile keep the previous consistent snapshot;
+            # `staleness` already counts the queued jobs).  A sustained backlog must not starve
             # readers on an ancient snapshot, though — publish_every
             # bounds the deferral.
             self._jobs_since_publish += 1
@@ -747,6 +740,29 @@ class AsyncServingLoop:
                 published = True
         if published:
             self._after_publish()
+
+    def _flush_publish(self, timeout: float = -1) -> None:
+        """Publish a deferred snapshot if one is pending and nothing is queued.
+
+        A job that defers its publish (because more work was queued
+        behind it) hands the publish to a later job; when that later
+        job publishes nothing itself — it failed, it was a checkpoint,
+        or it was abandoned by a timed-out ``close()`` — this flushes
+        the deferred publish under the state lock, so applied work
+        becomes visible.  ``timeout`` bounds the wait for the state
+        lock (``-1`` blocks); a lock not acquired in time skips the
+        flush.
+        """
+        if not self._publish_pending or not self._state_lock.acquire(
+            timeout=timeout
+        ):
+            return
+        try:
+            if self._publish_pending and not self._queue:
+                self._publish()
+                self._publish_pending = False
+        finally:
+            self._state_lock.release()
 
     def _apply(self, interface, job: MaintenanceJob) -> None:
         if job.kind == "fold":
@@ -834,58 +850,55 @@ class AsyncServingLoop:
     def _build_snapshot(self) -> ComposeSnapshot:
         """Freeze the current state into a new :class:`ComposeSnapshot`.
 
-        With a segment-composed (sharded) runtime this is ``O(touched
-        shards)``: the frozen detector references the live bundle's
-        immutable blocks, and the sharing with the previously published
-        snapshot is accounted per shard.  Single-store runtimes pay the
-        historical ``O(store)`` deep copy.
+        This is ``O(touched shards)``: the frozen detector references the
+        live bundle's immutable blocks, and the sharing with the
+        previously published snapshot is accounted per shard.
         """
         started = time.perf_counter()
         streaming = self.interface.streaming
         frozen = freeze_interface(self.interface)
         previous = getattr(self, "_snapshot", None)
-        bundle = getattr(frozen.prom, "_segment_bundle", None)
-        shared = 0
-        if bundle is not None:
-            previous_bundle = (
-                getattr(previous.interface.prom, "_segment_bundle", None)
-                if previous is not None
-                else None
-            )
-            shared = bundle.shared_shards_with(previous_bundle)
-            self.stats.shard_blocks_shared += shared
-            self.stats.shard_blocks_rebuilt += bundle.n_shards - shared
+        bundle = frozen.prom._segment_bundle
+        shared = bundle.shared_shards_with(
+            previous.interface.prom._segment_bundle
+            if previous is not None
+            else None
+        )
+        self.stats.shard_blocks_shared += shared
+        self.stats.shard_blocks_rebuilt += bundle.n_shards - shared
         snapshot = ComposeSnapshot(
             epoch=streaming.epoch,
             interface=frozen,
             calibration_size=self.interface.calibration_size,
             shard_sizes=tuple(self.interface.shard_sizes),
             published_at=time.perf_counter(),
-            shard_epochs=tuple(getattr(streaming.store, "shard_epochs", ())),
+            shard_epochs=streaming.store.shard_epochs,
             blocks_shared=shared,
         )
         elapsed = time.perf_counter() - started
         self.stats.last_publish_seconds = elapsed
         self.stats.total_publish_seconds += elapsed
-        if bundle is not None:
-            # prewarm the segment-direct view here, on the maintenance
-            # thread: the panel re-gathers and norm rebuilds a mutation
-            # leaves behind must not tax the first decision after the
-            # publish (DESIGN.md §9).  Timed apart from the publish —
-            # it is repair work moved off the decision path, not part
-            # of the structural-sharing pointer swap.
-            started = time.perf_counter()
-            view = bundle.evaluation_view()
-            if view is not None:
-                view.prewarm()
-            prewarm = time.perf_counter() - started
-            self.stats.last_prewarm_seconds = prewarm
-            self.stats.total_prewarm_seconds += prewarm
+        # prewarm the segment-direct view here, on the maintenance
+        # thread: the panel re-gathers and norm rebuilds a mutation
+        # leaves behind must not tax the first decision after the
+        # publish (DESIGN.md §9).  Timed apart from the publish — it is
+        # repair work moved off the decision path, not part of the
+        # structural-sharing pointer swap.
+        started = time.perf_counter()
+        view = bundle.evaluation_view()
+        if view is not None:
+            view.prewarm()
+        prewarm = time.perf_counter() - started
+        self.stats.last_prewarm_seconds = prewarm
+        self.stats.total_prewarm_seconds += prewarm
         return snapshot
 
     def _publish(self) -> None:
         """Build the next snapshot aside, then swap the pointer.
 
+        The snapshot shares every untouched shard's blocks with its
+        predecessor (:meth:`_build_snapshot`), so a publish costs
+        ``O(touched shards)`` on every runtime, one shard included.
         With a :class:`~repro.core.multiproc.ProcessServingPool`
         attached, the shared-memory name table is published right after
         the in-process pointer swap — both planes run under the same
@@ -953,25 +966,18 @@ class AsyncServingLoop:
                             traceback="",
                         )
                     )
-                # The designated publisher may be the wedged job:
-                # flush the deferred publish ourselves so applied work
-                # is visible, but never block past the deadline on the
-                # state lock a wedged worker might hold.
-                if self._publish_pending and self._state_lock.acquire(
-                    timeout=max(0.0, deadline - time.monotonic())
-                ):
-                    try:
-                        if self._publish_pending:
-                            self._publish()
-                            self._publish_pending = False
-                    finally:
-                        self._state_lock.release()
         with self._lock:
             self._closed = True
             if not drain or timed_out:
                 self._queue.clear()
             self._work_ready.notify_all()
             self._idle.notify_all()
+        if timed_out:
+            # The designated publisher may be the wedged job (or one of
+            # the abandoned ones): flush the deferred publish ourselves
+            # so applied work is visible, but never block past the
+            # deadline on the state lock a wedged worker might hold.
+            self._flush_publish(timeout=max(0.0, deadline - time.monotonic()))
         for worker in self._workers:
             remaining = timeout
             if deadline is not None:

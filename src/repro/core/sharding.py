@@ -196,6 +196,8 @@ class HashShardRouter(ShardRouter):
         features = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
         if features.ndim == 1:
             features = features.reshape(1, -1)
+        if self.n_shards == 1:
+            return np.zeros(len(features), dtype=int)
         return self._check_routes(
             [zlib.crc32(row.tobytes()) % self.n_shards for row in features]
         )
@@ -668,13 +670,17 @@ class ShardedCalibrationStore:
         """Concatenated shard columns (global exposed order).
 
         The result is a cached copy: safe to hold across mutations,
-        refreshed on the next call after one.
+        refreshed on the next call after one.  Treat it as read-only:
+        with one shard it is that shard's segment (see
+        :meth:`column_segment`), which compose bundles share.
         """
         reference = self._schema_shard()
         if reference is None or name not in reference.column_names:
             raise KeyError(
                 f"store has no column {name!r}; columns: {self.column_names}"
             )
+        if self.n_shards == 1:
+            return self.column_segment(0, name)
         parts = [shard.column(name) for shard in self.shards if len(shard)]
         if not parts:
             # fully-emptied store: an empty array of the schema's dtype
@@ -967,13 +973,19 @@ class ShardedCalibrationStore:
         restart (the rebuilt shards see the rows as a fresh stream).
         Returns the composing update, or ``None`` on an empty store.
 
+        A one-shard store is left as it is and returns ``None``: every
+        row routes to shard 0 whatever the router learns, and
+        rebuilding the shard would only reset its stream state — the
+        reservoir's ``n_seen`` and RNG position, the arrival numbering
+        — which Algorithm R needs to keep sampling uniformly.
+
         Raises:
             ServingError: when another thread holds any shard write
                 lock — re-routing every row while a worker folds into a
                 shard would corrupt both (see :meth:`acquire_shards`).
         """
         with self._structural_mutation("rebalance() the sharded store"):
-            if len(self) == 0:
+            if len(self) == 0 or self.n_shards == 1:
                 return None
             self._tag_mutation()
             columns = {name: self.column(name) for name in self.column_names}

@@ -8,7 +8,9 @@ micro-batches and stale samples are evicted — so full recalibration per
 round costs ``O(rounds * n_calibration)`` where ``O(rounds * batch)``
 suffices.
 
-The wrappers here own a bounded calibration store and maintain the
+The wrappers here own a bounded, sharded calibration store (a
+:class:`~repro.core.sharding.ShardedCalibrationStore`; the default
+``n_shards=1`` is simply its one-shard case) and maintain the
 detector's calibration state *incrementally*:
 
 * per-expert nonconformity scores are computed only for the new batch
@@ -21,10 +23,8 @@ detector's calibration state *incrementally*:
   the same bounded kernel (``median_pairwise_tau``) a fresh
   ``calibrate()`` would use.
 
-With ``n_shards > 1`` the store becomes a
-:class:`~repro.core.sharding.ShardedCalibrationStore` and the wrapper
-additionally keeps **per-shard** scores, label groupings and tau.  An
-update then folds only into the shards its batch touched — untouched
+The wrapper keeps **per-shard** scores, label groupings and tau.  An
+update folds only into the shards its batch touched — untouched
 shards' state is not even copied — and the global detector state is
 re-composed *segment-aware* (:mod:`repro.core.segments`): per-shard
 score/feature/label blocks stay immutable segments in a
@@ -65,11 +65,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration_store import CalibrationStore, StoreUpdate
+from .calibration_store import StoreUpdate
 from .exceptions import CalibrationError
 from .prom import PromClassifier, PromRegressor, _check_calibration_inputs
 from .pvalue import (
-    LabelGroupedScores,
     group_scores_by_label,
     merge_group_counts,
     update_label_groups,
@@ -105,19 +104,6 @@ def _shard_tau(weighting, features) -> float:
     if features is None or len(features) == 0:
         return 1.0
     return median_pairwise_tau(features)
-
-
-def _make_store(capacity, eviction, seed, n_shards, router, label_column):
-    if n_shards == 1:
-        return CalibrationStore(capacity, eviction, seed=seed)
-    return ShardedCalibrationStore(
-        capacity,
-        n_shards,
-        router=router,
-        policy=eviction,
-        seed=seed,
-        label_column=label_column,
-    )
 
 
 @dataclass
@@ -173,19 +159,12 @@ class _ShardMixin:
     """Shard, segment-compose and snapshot bookkeeping shared by both
     streaming wrappers.
 
-    Sharded wrappers hold the detector's global state as a
+    A calibrated wrapper holds the detector's global state as a
     :class:`~repro.core.segments.SegmentBundle` of immutable per-shard
-    blocks (``self._bundle``); the detector's flat arrays are
-    materialized from it lazily on first read (``self._bundle_fresh``
-    tracks whether they currently match).  Single-store wrappers keep
-    ``_bundle`` as ``None`` and behave exactly as before.
+    blocks (``self._bundle``, ``None`` until the first calibration);
+    the detector's flat arrays are materialized from it lazily on first
+    read (``self._bundle_fresh`` tracks whether they currently match).
     """
-
-    #: detector attributes that may alias store buffers (rewritten in
-    #: place by slot-reuse eviction) and must be materialized when a
-    #: frozen snapshot is published without a segment bundle
-    #: (single-store mode); set per wrapper class.
-    _snapshot_array_fields: tuple = ()
 
     #: compose spec, set per wrapper class: detector attribute ->
     #: store column for store-backed fields; detector attributes whose
@@ -210,8 +189,8 @@ class _ShardMixin:
     def _materialize_composed(self) -> None:
         """Install the current bundle's flat arrays on the detector.
 
-        The lazy half of the segment compose: no-op in single-store
-        mode or when the detector already reflects the bundle;
+        The lazy half of the segment compose: no-op before the first
+        calibration or when the detector already reflects the bundle;
         otherwise one ``O(store)`` concatenation per mutated epoch,
         paid by the first consumer that actually needs flat state
         (and shared with snapshots built from the same bundle).
@@ -245,9 +224,7 @@ class _ShardMixin:
     @property
     def _feature_dim(self) -> int:
         """Calibrated feature dimensionality, without materializing."""
-        if self._bundle is not None:
-            return int(self._bundle.fields["_features"].trailing_shape[0])
-        return int(self.prom._features.shape[1])
+        return int(self._bundle.fields["_features"].trailing_shape[0])
 
     def _build_bundle(self, fresh: bool) -> dict:
         """Assemble the :class:`SegmentBundle` from the current shard
@@ -338,10 +315,6 @@ class _ShardMixin:
         self._retune_composed_tau(retune_tau, fields["_features"])
 
     @property
-    def is_sharded(self) -> bool:
-        return isinstance(self.store, ShardedCalibrationStore)
-
-    @property
     def epoch(self) -> int:
         """Monotone counter bumped on every calibration-state mutation.
 
@@ -364,71 +337,46 @@ class _ShardMixin:
         updates.  This is the double-buffered read side of the async
         serving loop (DESIGN.md §5).
 
-        How the state is frozen depends on the compose mode:
-
-        * **sharded** — a structural-sharing snapshot (DESIGN.md §6):
-          the clone references the live
-          :class:`~repro.core.segments.SegmentBundle` of immutable
-          per-shard blocks, so freezing is ``O(n_shards)`` pointer
-          work, not an ``O(store)`` deep copy.  Untouched shards'
-          blocks are therefore *shared* (``np.shares_memory``) between
-          consecutive snapshots; folds replace touched shards' blocks
-          instead of mutating them, so shared blocks can never change
-          under a published snapshot.  Flat arrays are materialized on
-          the snapshot's first evaluate (or reused from the live
-          detector when it already materialized the same bundle).
-        * **single-store** — the store rewrites its buffers in place
-          (slot-reuse eviction), so the clone deep-copies every
-          store-aliased array, as before.
+        The snapshot is structural-sharing (DESIGN.md §6): the clone
+        references the live :class:`~repro.core.segments.SegmentBundle`
+        of immutable per-shard blocks, so freezing is ``O(n_shards)``
+        pointer work, not an ``O(store)`` deep copy.  Untouched shards'
+        blocks are therefore *shared* (``np.shares_memory``) between
+        consecutive snapshots; folds replace touched shards' blocks
+        instead of mutating them, so shared blocks can never change
+        under a published snapshot.  Flat arrays are materialized on
+        the snapshot's first evaluate (or reused from the live detector
+        when it already materialized the same bundle).
         """
         self.prom._require_calibrated()
         prom = copy.copy(self.prom)
         prom.weighting = copy.copy(self.prom.weighting)
-        bundle = self._bundle
-        if bundle is not None:
-            # Structural sharing: the one-shot hook materializes the
-            # bundle on first read.  When the live detector's flat
-            # state already reflects the bundle, the copied attributes
-            # are current and the hook starts done — zero copies.
-            prom._compose_hook = BundleComposeHook(
-                prom, bundle, done=self._bundle_fresh
-            )
-            prom._segment_bundle = bundle
-            return prom
-        prom._compose_hook = None
-        for name in self._snapshot_array_fields:
-            setattr(prom, name, np.array(getattr(self.prom, name)))
-        layouts = [
-            LabelGroupedScores(
-                scores=np.array(layout.scores),
-                labels=np.array(layout.labels),
-                group_counts=np.array(layout.group_counts),
-                n_labels=layout.n_labels,
-            )
-            for layout in self.prom._layouts
-        ]
-        prom._layouts = layouts
-        prom._scores = [layout.scores for layout in layouts]
+        # The one-shot hook materializes the bundle on first read.  When
+        # the live detector's flat state already reflects the bundle,
+        # the copied attributes are current and the hook starts done —
+        # zero copies.
+        prom._compose_hook = BundleComposeHook(
+            prom, self._bundle, done=self._bundle_fresh
+        )
+        prom._segment_bundle = self._bundle
         return prom
 
     @property
     def n_shards(self) -> int:
-        return getattr(self.store, "n_shards", 1)
+        return self.store.n_shards
 
     @property
     def shard_sizes(self) -> tuple:
-        return getattr(self.store, "shard_sizes", (len(self.store),))
+        return self.store.shard_sizes
 
     @property
     def shard_taus(self) -> tuple:
-        """Per-shard feature-scale taus (empty for single-store mode).
+        """Per-shard feature-scale taus (empty before calibration).
 
         Computed lazily: a fold marks its shard's tau stale, and this
         accessor re-resolves stale entries with the same bounded kernel
         a shard-local recalibration would use.
         """
-        if self._shard_states is None:
-            return ()
         taus = []
         for shard_id, state in enumerate(self._shard_states):
             if state.tau is None:
@@ -477,15 +425,15 @@ class StreamingPromClassifier(_ShardMixin):
             ``evaluate_one``, ``prediction_region_batch``) delegate to
             it unchanged.
         capacity: calibration-store cap (paper: 1000) — total across
-            shards when sharded.
+            shards.
         eviction: eviction policy instance or name (``"fifo"``,
-            ``"reservoir"``, ``"lowest_weight"``); with ``n_shards > 1``
-            a sequence gives each shard its own policy.
+            ``"reservoir"``, ``"lowest_weight"``); a sequence gives
+            each shard its own policy.
         seed: RNG seed of the store (randomized policies).
-        n_shards: number of calibration shards (1 = the classic single
-            store).
+        n_shards: number of calibration shards (default 1: one shard
+            holding the whole store).
         router: shard router name or instance (``"hash"``, ``"label"``,
-            ``"cluster"``) — only meaningful with ``n_shards > 1``.
+            ``"cluster"``); with one shard every sample routes to it.
         parallel: thread-pool width for whole-shard rescoring in
             :meth:`recalibrate_shards` (``None``/``1`` = serial);
             micro-batch folds stay serial either way.
@@ -496,7 +444,6 @@ class StreamingPromClassifier(_ShardMixin):
     ``extra=`` — the schema is fixed by the first call.
     """
 
-    _snapshot_array_fields = ("_features", "_labels")
     _compose_store_fields = {"_features": "features", "_labels": "label"}
     _compose_state_fields = ()
     _compose_label_key = "_labels"
@@ -520,11 +467,11 @@ class StreamingPromClassifier(_ShardMixin):
         parallel: int | None = None,
     ):
         self.prom = prom or PromClassifier()
-        self.store = _make_store(
-            capacity, eviction, seed, n_shards, router, label_column="label"
+        self.store = ShardedCalibrationStore(
+            capacity, n_shards, router=router, policy=eviction, seed=seed
         )
         self.parallel = parallel
-        self._shard_states = None
+        self._shard_states = []
         self._epoch = 0
         self._init_compose()
 
@@ -590,8 +537,7 @@ class StreamingPromClassifier(_ShardMixin):
             staged.column("label"),
         )
         self.store = staged
-        if self.is_sharded:
-            self._rebuild_shard_states()
+        self._rebuild_shard_states()
         self._bump_epoch()
         return self
 
@@ -636,7 +582,7 @@ class StreamingPromClassifier(_ShardMixin):
 
         Scores are computed for the new batch only; groupings and
         counts are carried across the store mutation (touched shards
-        only, when sharded); tau is re-resolved against the surviving
+        only); tau is re-resolved against the surviving
         features (pass ``retune_tau=False`` to freeze it — faster, but
         the detector then diverges from a fresh ``calibrate()`` until
         the next ``refresh``).  Returns the :class:`StoreUpdate`
@@ -657,10 +603,7 @@ class StreamingPromClassifier(_ShardMixin):
             label=labels,
             **_as_columns(extra),
         )
-        if self._shard_states is None:
-            self._apply(update, new_scores, labels, retune_tau)
-        else:
-            self._apply_sharded(update, new_scores, labels, retune_tau)
+        self._fold(update, new_scores, labels, retune_tau)
         self._bump_epoch()
         return update
 
@@ -671,28 +614,11 @@ class StreamingPromClassifier(_ShardMixin):
         update = self.store.evict(positions)
         empty = [np.zeros(0)] * len(self.prom.functions)
         no_labels = np.zeros(0, dtype=int)
-        if self._shard_states is None:
-            self._apply(update, empty, no_labels, retune_tau)
-        else:
-            self._apply_sharded(update, empty, no_labels, retune_tau)
+        self._fold(update, empty, no_labels, retune_tau)
         self._bump_epoch()
         return update
 
-    def _apply(self, update: StoreUpdate, new_scores, new_labels, retune_tau: bool):
-        prom = self.prom
-        prom._layouts = [
-            update_label_groups(
-                layout, update.keep_mask, scores, new_labels, order=update.order
-            )
-            for layout, scores in zip(prom._layouts, new_scores)
-        ]
-        prom._scores = [layout.scores for layout in prom._layouts]
-        prom._features = self.store.column("features")
-        prom._labels = self.store.column("label")
-        if retune_tau:
-            prom.weighting.resolve_tau(prom._features)
-
-    def _apply_sharded(self, update, new_scores, new_labels, retune_tau: bool):
+    def _fold(self, update, new_scores, new_labels, retune_tau: bool):
         """Fold the batch into the touched shards, then recompose."""
 
         def fold(shard_id):
@@ -726,10 +652,6 @@ class StreamingPromClassifier(_ShardMixin):
         ``parallel`` workers are configured.  ``shard_ids=None``
         rescores every shard.
         """
-        if self._shard_states is None:
-            raise CalibrationError(
-                "recalibrate_shards needs a sharded store (n_shards > 1)"
-            )
         self.prom._require_calibrated()
         prom = self.prom
         if shard_ids is None:
@@ -777,8 +699,7 @@ class StreamingPromClassifier(_ShardMixin):
             self.store.column("probabilities"),
             self.store.column("label"),
         )
-        if self.is_sharded:
-            self._rebuild_shard_states()
+        self._rebuild_shard_states()
         self._bump_epoch()
         return self
 
@@ -789,10 +710,12 @@ class StreamingPromClassifier(_ShardMixin):
         the deployed model changed, so every stored feature vector and
         probability row is stale.  Incremental maintenance cannot help
         here (all scores change); this is the designed full-rebuild
-        path.  A sharded store additionally re-fits its router and
-        re-routes every sample (the feature space the router keyed on
-        moved too), which may trigger per-shard evictions when the new
-        routing overloads a shard.
+        path.  With several shards the store additionally re-fits its
+        router and re-routes every sample (the feature space the router
+        keyed on moved too), which may trigger per-shard evictions when
+        the new routing overloads a shard; one shard keeps its rows and
+        stream state (see
+        :meth:`~repro.core.sharding.ShardedCalibrationStore.rebalance`).
         """
         features, probabilities, labels = _check_calibration_inputs(
             features, probabilities, labels
@@ -800,8 +723,7 @@ class StreamingPromClassifier(_ShardMixin):
         self.store.replace_column("features", features)
         self.store.replace_column("probabilities", probabilities)
         self.store.replace_column("label", np.asarray(labels))
-        if self.is_sharded:
-            self.store.rebalance(refit_router=True)
+        self.store.rebalance(refit_router=True)
         self.refresh()
 
     # -- deployment (delegation) --------------------------------------------------
@@ -838,7 +760,7 @@ class StreamingPromRegressor(_ShardMixin):
       ``refit_clusters=True`` after heavy drift.
     * ``calibration_residuals="true"`` (the default prom built here)
       keeps scores per-sample pure, enabling the incremental fast path
-      (per touched shard, when sharded).  A ``"loo"`` detector couples
+      (per touched shard).  A ``"loo"`` detector couples
       every score to its neighbours, so ``update()`` transparently
       falls back to a full recompute of the LOO residuals — with the
       *fitted* clusterer, like every other update path — correct and
@@ -848,7 +770,6 @@ class StreamingPromRegressor(_ShardMixin):
     no integer label column to key ``"label"`` routing on).
     """
 
-    _snapshot_array_fields = ("_features", "_targets", "_clusters")
     _compose_store_fields = {"_features": "features", "_targets": "target"}
     _compose_state_fields = ("_clusters",)
     _compose_label_key = "_clusters"
@@ -872,11 +793,16 @@ class StreamingPromRegressor(_ShardMixin):
         parallel: int | None = None,
     ):
         self.prom = prom or PromRegressor(calibration_residuals="true")
-        self.store = _make_store(
-            capacity, eviction, seed, n_shards, router, label_column=None
+        self.store = ShardedCalibrationStore(
+            capacity,
+            n_shards,
+            router=router,
+            policy=eviction,
+            seed=seed,
+            label_column=None,
         )
         self.parallel = parallel
-        self._shard_states = None
+        self._shard_states = []
         self._epoch = 0
         self._init_compose()
 
@@ -921,8 +847,7 @@ class StreamingPromRegressor(_ShardMixin):
             staged.column("target"),
         )
         self.store = staged
-        if self.is_sharded:
-            self._rebuild_shard_states()
+        self._rebuild_shard_states()
         self._bump_epoch()
         return self
 
@@ -934,8 +859,7 @@ class StreamingPromRegressor(_ShardMixin):
             self.store.column("prediction"),
             self.store.column("target"),
         )
-        if self.is_sharded:
-            self._rebuild_shard_states()
+        self._rebuild_shard_states()
         self._bump_epoch()
 
     def _rebuild_shard_states(self) -> None:
@@ -972,8 +896,8 @@ class StreamingPromRegressor(_ShardMixin):
         """Fold a micro-batch into the calibration state.
 
         Incremental when the detector uses per-sample (``"true"``)
-        residuals — touching only the shards the batch routed to when
-        sharded; ``"loo"`` falls back to recomputing all residuals
+        residuals — touching only the shards the batch routed to;
+        ``"loo"`` falls back to recomputing all residuals
         (fitted clusterer kept — only :meth:`refresh` re-clusters).
         """
         self.prom._require_calibrated()
@@ -1004,10 +928,7 @@ class StreamingPromRegressor(_ShardMixin):
             function.score(predictions, targets) for function in prom.score_functions
         ]
         update = self.store.add(priority=priority, **columns)
-        if self._shard_states is None:
-            self._apply(update, new_scores, new_clusters, retune_tau)
-        else:
-            self._apply_sharded(update, new_scores, new_clusters, retune_tau)
+        self._fold(update, new_scores, new_clusters, retune_tau)
         self._bump_epoch()
         return update
 
@@ -1021,29 +942,11 @@ class StreamingPromRegressor(_ShardMixin):
             return update
         empty = [np.zeros(0)] * len(self.prom.score_functions)
         no_clusters = np.zeros(0, dtype=int)
-        if self._shard_states is None:
-            self._apply(update, empty, no_clusters, retune_tau)
-        else:
-            self._apply_sharded(update, empty, no_clusters, retune_tau)
+        self._fold(update, empty, no_clusters, retune_tau)
         self._bump_epoch()
         return update
 
-    def _apply(self, update: StoreUpdate, new_scores, new_clusters, retune_tau: bool):
-        prom = self.prom
-        prom._layouts = [
-            update_label_groups(
-                layout, update.keep_mask, scores, new_clusters, order=update.order
-            )
-            for layout, scores in zip(prom._layouts, new_scores)
-        ]
-        prom._scores = [layout.scores for layout in prom._layouts]
-        prom._clusters = np.concatenate([prom._clusters, new_clusters])[update.order]
-        prom._features = self.store.column("features")
-        prom._targets = self.store.column("target")
-        if retune_tau:
-            prom.weighting.resolve_tau(prom._features)
-
-    def _apply_sharded(self, update, new_scores, new_clusters, retune_tau: bool):
+    def _fold(self, update, new_scores, new_clusters, retune_tau: bool):
         """Fold the batch into the touched shards, then recompose."""
 
         def fold(shard_id):
@@ -1078,10 +981,6 @@ class StreamingPromRegressor(_ShardMixin):
         detector couples scores across shards, so it falls back to the
         global ``refresh(refit_clusters=False)``.
         """
-        if self._shard_states is None:
-            raise CalibrationError(
-                "recalibrate_shards needs a sharded store (n_shards > 1)"
-            )
         self.prom._require_calibrated()
         if self.prom.calibration_residuals != "true":
             return self.refresh(refit_clusters=False, retune_tau=retune_tau)
@@ -1163,8 +1062,7 @@ class StreamingPromRegressor(_ShardMixin):
             group_scores_by_label(scores, prom._clusters, prom.clusterer_.k_)
             for scores in prom._scores
         ]
-        if self.is_sharded:
-            self._rebuild_shard_states()
+        self._rebuild_shard_states()
         self._bump_epoch()
         return self
 
@@ -1173,8 +1071,8 @@ class StreamingPromRegressor(_ShardMixin):
 
         Keeps membership and the fitted clusterer is re-fit as part of
         the full recalibration (the model's feature space moved, so the
-        old pseudo-labels are stale too).  A sharded store re-routes on
-        the new features first (see the classifier's
+        old pseudo-labels are stale too).  A store of several shards
+        re-routes on the new features first (see the classifier's
         :meth:`~StreamingPromClassifier.replace_outputs`).
         """
         features, predictions, targets = _check_calibration_inputs(
@@ -1185,8 +1083,7 @@ class StreamingPromRegressor(_ShardMixin):
         self.store.replace_column(
             "target", np.asarray(targets, dtype=float).ravel()
         )
-        if self.is_sharded:
-            self.store.rebalance(refit_router=True)
+        self.store.rebalance(refit_router=True)
         self._full_calibrate()
 
     # -- deployment (delegation) --------------------------------------------------

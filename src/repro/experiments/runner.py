@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import copy
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -391,10 +390,11 @@ class StreamStep:
     :func:`stream_deployment`).  ``n_shards_touched`` counts the
     calibration shards this step's recalibration folded into (0 when
     nothing recalibrated; the full shard count on model updates, which
-    rebuild every shard; always 0 with ``async_serving`` — the fold is
+    rebuild every shard; always 0 when serving asynchronously — the fold is
     deferred to a background worker, whose routing is not known yet).
 
-    With ``async_serving=True`` the serving-plane fields are live:
+    With ``ServingConfig(asynchronous=True)`` the serving-plane fields
+    are live:
     ``queue_depth`` is the maintenance backlog when the batch was
     served, ``snapshot_staleness`` the number of accepted maintenance
     jobs not yet reflected in the published snapshot,
@@ -407,8 +407,7 @@ class StreamStep:
     accepted, coalesced or applied), and ``snapshot_blocks_shared``
     reports how many calibration shards' blocks the snapshot that
     served this batch shared with its predecessor (the
-    structural-sharing publish of DESIGN.md §6; 0 in single-store
-    mode).
+    structural-sharing publish of DESIGN.md §6).
 
     Async accounting caveat: ``model_updated`` (and the monitor reset
     behind it) records an **accepted submission** — required for the
@@ -431,7 +430,7 @@ class StreamStep:
     scored by the GEMM, and ``(test row, skipped shard)`` pairs the
     pruner excluded.  Both stay 0 unless the run evaluated
     segment-direct with a :class:`~repro.core.pruning.CandidatePruner`
-    installed (``stream_deployment(..., prune=True)``).
+    installed (``PruningConfig(enabled=True)``).
 
     ``trigger_metric`` / ``trigger_threshold`` / ``trigger_detector``
     expose the trigger plane per step (DESIGN.md §11): the primary
@@ -487,9 +486,9 @@ class StreamResult:
     for synchronous runs.
 
     ``checkpoint_generations`` counts the generations committed during
-    the run (either mode, with ``checkpoint_dir``);
+    the run (either mode, with ``CheckpointConfig.directory`` set);
     ``restored_generation`` is the generation a warm restart
-    (``restore_from_checkpoint=True``) resumed from (``None`` for cold
+    (``CheckpointConfig(restore=True)``) resumed from (``None`` for cold
     starts) and ``restore_fallbacks`` the reasons newer generations
     were skipped over during that restore.
 
@@ -536,112 +535,15 @@ class StreamResult:
     trigger_restored: bool = False
 
 
-#: legacy flat parameters of :func:`stream_deployment` in their
-#: pre-PR 9 positional order, paired with the defaults the shim keeps
-_LEGACY_PARAMS = (
-    ("batch_size", 64),
-    ("budget_fraction", 0.05),
-    ("monitor", None),
-    ("update_on_alert", True),
-    ("epochs", 20),
-    ("async_serving", False),
-    ("serving_workers", 1),
-    ("queue_capacity", 32),
-    ("backpressure", "coalesce"),
-    ("drain_each_step", False),
-    ("record_decisions", False),
-    ("checkpoint_dir", None),
-    ("checkpoint_keep", 3),
-    ("checkpoint_every", 1),
-    ("restore_from_checkpoint", False),
-    ("retry", None),
-    ("chunk_size", None),
-    ("prune", False),
-    ("prune_spill", 1.0),
-)
-
-
-def _resolve_legacy(args: tuple, kwargs: dict) -> dict:
-    """The legacy flat-kwarg spelling, normalized to a full value map.
-
-    Reproduces the pre-PR 9 signature exactly — positional order,
-    defaults, ``TypeError`` on unknown or duplicated names — and fires
-    the one :class:`DeprecationWarning` for the call.
-    """
-    values = dict(_LEGACY_PARAMS)
-    names = tuple(name for name, _ in _LEGACY_PARAMS)
-    if len(args) > len(names):
-        raise TypeError(
-            "stream_deployment() takes at most "
-            f"{3 + len(names)} positional arguments ({3 + len(args)} given)"
-        )
-    for name, value in zip(names, args):
-        values[name] = value
-    positional = frozenset(names[: len(args)])
-    for name, value in kwargs.items():
-        if name not in values:
-            raise TypeError(
-                "stream_deployment() got an unexpected keyword argument "
-                f"{name!r}"
-            )
-        if name in positional:
-            raise TypeError(
-                f"stream_deployment() got multiple values for argument {name!r}"
-            )
-        values[name] = value
-    warnings.warn(
-        "flat stream_deployment keywords are deprecated; pass "
-        "loop=LoopConfig(...), serving=ServingConfig(...), "
-        "checkpointing=CheckpointConfig(...), pruning=PruningConfig(...) "
-        "from repro.core.config instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return values
-
-
-def _configs_from_legacy(values: dict):
-    """Config objects equivalent to a legacy flat-kwarg value map."""
-    loop = LoopConfig(
-        batch_size=values["batch_size"],
-        budget_fraction=values["budget_fraction"],
-        monitor=values["monitor"],
-        update_on_alert=values["update_on_alert"],
-        epochs=values["epochs"],
-    )
-    serving = ServingConfig(
-        asynchronous=values["async_serving"],
-        workers=values["serving_workers"],
-        queue_capacity=values["queue_capacity"],
-        backpressure=values["backpressure"],
-        drain_each_step=values["drain_each_step"],
-        record_decisions=values["record_decisions"],
-    )
-    checkpointing = CheckpointConfig(
-        directory=values["checkpoint_dir"],
-        keep=values["checkpoint_keep"],
-        every=values["checkpoint_every"],
-        restore=values["restore_from_checkpoint"],
-        retry=values["retry"],
-    )
-    pruning = PruningConfig(
-        enabled=values["prune"],
-        spill=values["prune_spill"],
-        chunk_size=values["chunk_size"],
-    )
-    return loop, serving, checkpointing, pruning
-
-
 def stream_deployment(
     interface,
     X_stream,
     oracle_labels,
-    *legacy_args,
+    *,
     loop: LoopConfig | None = None,
     serving: ServingConfig | None = None,
     checkpointing: CheckpointConfig | None = None,
     pruning: PruningConfig | None = None,
-    **legacy_kwargs,
 ) -> StreamResult:
     """Serve a sample stream end to end: detect, relabel, recalibrate.
 
@@ -664,8 +566,9 @@ def stream_deployment(
     5. the bounded calibration store evicts down to
        ``max_calibration`` either way.
 
-    Configuration arrives as four frozen config objects
-    (:mod:`repro.core.config`), one per plane:
+    Configuration arrives as four keyword-only frozen config objects
+    (:mod:`repro.core.config`), one per plane; ``None`` takes that
+    plane's defaults:
 
     Args:
         interface: trained model interface.
@@ -699,60 +602,22 @@ def stream_deployment(
             (DESIGN.md §9); ``spill=1.0`` keeps decisions
             bit-identical to the unpruned path.
 
-    Sharding note: with an interface built over a sharded calibration
-    runtime (``n_shards > 1``), step 4's calibration work routes
-    through the shard layer — an ``extend_calibration`` batch folds
-    only into the shards it touches, and every :class:`StreamStep`
-    records ``n_shards_touched`` so shard churn is observable per
-    batch.
-
-    Deprecated spelling: the pre-PR 9 flat keywords (``batch_size=``,
-    ``async_serving=``, ``checkpoint_dir=``, ``prune=``, …) are still
-    accepted — they map onto the config objects behind a
-    :class:`DeprecationWarning` and produce bit-identical runs.  Mixing
-    the two spellings in one call raises
-    :class:`~repro.core.exceptions.ConfigurationError`.
+    Sharding note: step 4's calibration work routes through the shard
+    layer of the interface's calibration runtime — an
+    ``extend_calibration`` batch folds only into the shards it touches,
+    and every :class:`StreamStep` records ``n_shards_touched`` so shard
+    churn is observable per batch.
     """
-    config_spelling = (
-        loop is not None
-        or serving is not None
-        or checkpointing is not None
-        or pruning is not None
+    loop_config = loop if loop is not None else LoopConfig()
+    serving_config = (
+        serving if serving is not None else ServingConfig(asynchronous=False)
     )
-    if legacy_args or legacy_kwargs:
-        if config_spelling:
-            raise ConfigurationError(
-                "stream_deployment() mixes legacy flat keywords with config "
-                "objects; pass loop=/serving=/checkpointing=/pruning= only"
-            )
-        loop, serving, checkpointing, pruning = _configs_from_legacy(
-            _resolve_legacy(legacy_args, legacy_kwargs)
-        )
-    return _stream_deployment_impl(
-        interface,
-        X_stream,
-        oracle_labels,
-        loop if loop is not None else LoopConfig(),
-        serving if serving is not None else ServingConfig(asynchronous=False),
-        checkpointing if checkpointing is not None else CheckpointConfig(),
-        pruning if pruning is not None else PruningConfig(enabled=False),
+    checkpoint_config = (
+        checkpointing if checkpointing is not None else CheckpointConfig()
     )
-
-
-def _stream_deployment_impl(
-    interface,
-    X_stream,
-    oracle_labels,
-    loop_config: LoopConfig,
-    serving_config: ServingConfig,
-    checkpoint_config: CheckpointConfig,
-    pruning_config: PruningConfig,
-) -> StreamResult:
-    """The deployment loop proper, over resolved config objects.
-
-    Both public spellings of :func:`stream_deployment` land here, so
-    legacy and config calls are trivially bit-identical.
-    """
+    pruning_config = (
+        pruning if pruning is not None else PruningConfig(enabled=False)
+    )
     batch_size = loop_config.batch_size
     budget_fraction = loop_config.budget_fraction
     update_on_alert = loop_config.update_on_alert
@@ -838,7 +703,7 @@ def _stream_deployment_impl(
                 None,
             )
             prom._pruner = CandidatePruner(router=router, spill=prune_spill)
-    loop = None
+    serving_loop = None
     pool = None
     sync_checkpoint_state = {"since": 0, "generations": 0, "last_ms": 0.0}
     if async_serving:
@@ -853,7 +718,7 @@ def _stream_deployment_impl(
                 start_method=pool_config.start_method,
                 table_capacity=pool_config.table_capacity,
             )
-        loop = AsyncServingLoop(
+        serving_loop = AsyncServingLoop(
             interface,
             n_workers=serving_workers,
             queue_capacity=queue_capacity,
@@ -866,7 +731,7 @@ def _stream_deployment_impl(
 
     def _sync_checkpoint(mutated: bool) -> None:
         """Inline checkpoint cadence for the synchronous loop."""
-        if writer is None or loop is not None or not mutated:
+        if writer is None or serving_loop is not None or not mutated:
             return
         sync_checkpoint_state["since"] += 1
         if sync_checkpoint_state["since"] < checkpoint_every:
@@ -908,15 +773,15 @@ def _stream_deployment_impl(
         for start in range(0, len(X_stream), batch_size):
             stop = min(len(X_stream), start + batch_size)
             batch_started = time.perf_counter()
-            if loop is not None:
-                queue_depth = loop.queue_depth
-                staleness = loop.staleness
-                during_maintenance = loop.maintenance_active
-                blocks_shared = loop.snapshot.blocks_shared
+            if serving_loop is not None:
+                queue_depth = serving_loop.queue_depth
+                staleness = serving_loop.staleness
+                during_maintenance = serving_loop.maintenance_active
+                blocks_shared = serving_loop.snapshot.blocks_shared
                 if pool is not None:
                     predictions, decisions = pool.predict(X_stream[start:stop])
                 else:
-                    predictions, decisions = loop.predict(X_stream[start:stop])
+                    predictions, decisions = serving_loop.predict(X_stream[start:stop])
             else:
                 queue_depth = staleness = 0
                 during_maintenance = False
@@ -969,8 +834,8 @@ def _stream_deployment_impl(
                 X_chosen = X_stream[start + chosen]
                 y_chosen = oracle_labels[start + chosen]
                 if updating_model:
-                    if loop is not None:
-                        accepted = loop.submit_model_update(
+                    if serving_loop is not None:
+                        accepted = serving_loop.submit_model_update(
                             X_chosen, y_chosen, epochs=epochs
                         )
                     else:
@@ -990,20 +855,17 @@ def _stream_deployment_impl(
                         # lost and the un-reset monitor will re-alert
                         n_lost = len(chosen)
                 else:
-                    if loop is not None:
-                        if not loop.submit_fold(X_chosen, y_chosen):
+                    if serving_loop is not None:
+                        if not serving_loop.submit_fold(X_chosen, y_chosen):
                             n_lost = len(chosen)
                     else:
                         cal_update = interface.extend_calibration(
                             X_chosen, y_chosen
                         )
-                        touched = getattr(cal_update, "touched", None)
-                        n_shards_touched = (
-                            len(touched) if touched is not None else 1
-                        )
+                        n_shards_touched = len(cal_update.touched)
             _sync_checkpoint(len(chosen) > 0)
-            if loop is not None and drain_each_step:
-                loop.drain()
+            if serving_loop is not None and drain_each_step:
+                serving_loop.drain()
                 if pool is not None:
                     # workers re-attach the table the drain published,
                     # so the next batch sees the post-maintenance state
@@ -1013,11 +875,11 @@ def _stream_deployment_impl(
             n_relabelled_total += len(chosen)
             n_dropped_total += n_dropped
             n_lost_total += n_lost
-            if loop is not None:
-                step_retries = loop.stats.n_retries
-                step_dead = loop.stats.n_dead_lettered
-                step_generations = loop.stats.checkpoint_generations
-                step_checkpoint_ms = loop.stats.last_checkpoint_ms
+            if serving_loop is not None:
+                step_retries = serving_loop.stats.n_retries
+                step_dead = serving_loop.stats.n_dead_lettered
+                step_generations = serving_loop.stats.checkpoint_generations
+                step_checkpoint_ms = serving_loop.stats.last_checkpoint_ms
             else:
                 step_retries = step_dead = 0
                 step_generations = sync_checkpoint_state["generations"]
@@ -1033,8 +895,8 @@ def _stream_deployment_impl(
                     rejection_rate=window_rate,
                     calibration_size=(
                         interface.calibration_size
-                        if loop is None or drain_each_step
-                        else loop.snapshot.calibration_size
+                        if serving_loop is None or drain_each_step
+                        else serving_loop.snapshot.calibration_size
                     ),
                     seconds=time.perf_counter() - batch_started,
                     n_dropped_unknown=n_dropped,
@@ -1070,22 +932,22 @@ def _stream_deployment_impl(
                     decisions=decisions if record_decisions else None,
                 )
             )
-        if loop is not None:
-            loop.drain()
+        if serving_loop is not None:
+            serving_loop.drain()
             if pool is not None:
                 pool.sync()
     finally:
-        if loop is not None:
-            loop.close(drain=False)
+        if serving_loop is not None:
+            serving_loop.close(drain=False)
         if pool is not None:
             pool.close()
     elapsed = time.perf_counter() - stream_started
     errors = tuple(restore_errors)
-    if loop is not None:
-        errors += tuple(loop.errors)
+    if serving_loop is not None:
+        errors += tuple(serving_loop.errors)
     total_generations = (
-        loop.stats.checkpoint_generations
-        if loop is not None
+        serving_loop.stats.checkpoint_generations
+        if serving_loop is not None
         else sync_checkpoint_state["generations"]
     )
     return StreamResult(
@@ -1102,7 +964,7 @@ def _stream_deployment_impl(
         final_shard_sizes=tuple(getattr(interface, "shard_sizes", ())),
         monitor=monitor,
         errors=errors,
-        serving=loop.stats if loop is not None else None,
+        serving=serving_loop.stats if serving_loop is not None else None,
         n_lost_to_backpressure=n_lost_total,
         checkpoint_generations=total_generations,
         restored_generation=restored_generation,

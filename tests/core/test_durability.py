@@ -14,9 +14,12 @@ Thread-exercising tests carry the ``concurrency`` marker individually;
 the pure writer/restore tests run in the main suite.
 """
 
+import gc
 import json
 import threading
 import time
+import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -196,6 +199,25 @@ def test_untouched_shards_are_reused(tmp_path):
     assert third.blocks_reused == second.blocks_reused - touched
 
 
+def test_writer_does_not_pin_replaced_blocks(tmp_path):
+    """The writer remembers blocks weakly: a fold's replaced block is freed.
+
+    At one shard every fold replaces the shard's whole block, so a
+    strongly held fingerprint would keep a full extra store copy alive
+    until the next checkpoint.
+    """
+    live = _classifier(n_shards=1)
+    writer = CheckpointWriter(tmp_path)
+    writer.checkpoint(live.streaming)
+    replaced = weakref.ref(live.streaming.store.column_segment(0, "features"))
+    live.extend_calibration(*make_blobs(3, seed=5))
+    # evaluating installs the new bundle's arrays on the detector
+    live.predict(make_blobs(5, seed=6)[0])
+    gc.collect()
+    assert replaced() is None
+    assert writer.checkpoint(live.streaming).blocks_written == 1
+
+
 def test_fresh_writer_reuses_blocks_by_content(tmp_path):
     """Content-addressed filenames dedupe across writer instances."""
     live = _classifier()
@@ -326,6 +348,42 @@ def test_config_mismatch_raises_not_falls_back(tmp_path):
     other = _classifier(n_shards=4)
     with pytest.raises(CheckpointError, match="shards"):
         restore_checkpoint(other.streaming, tmp_path)
+
+
+def test_single_store_era_generation_fails_closed(tmp_path):
+    """A generation written by the retired single-store runtime is refused.
+
+    Such manifests carry ``router: null``; a one-shard runtime names its
+    router, so validation rejects the generation instead of installing
+    it, and a warm restart falls back to the cold calibration.
+    """
+    live = _classifier(n_shards=1)
+    CheckpointWriter(tmp_path).checkpoint(live.streaming)
+    manifest = tmp_path / "manifest-0000000001.json"
+    payload = json.loads(manifest.read_text())
+    del payload["payload_crc"]
+    payload["router"] = None
+    payload["payload_crc"] = zlib.crc32(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    )
+    manifest.write_text(json.dumps(payload))
+
+    target = _classifier(n_shards=1)
+    epoch = target.epoch
+    with pytest.raises(CheckpointError, match="router differs"):
+        restore_checkpoint(target.streaming, tmp_path)
+    assert target.epoch == epoch
+
+    X, y = make_blobs(10, seed=1)
+    result = stream_deployment(
+        target,
+        X[:0],
+        y[:0],
+        checkpointing=CheckpointConfig(directory=tmp_path, restore=True),
+    )
+    assert result.restored_generation is None
+    assert [error.kind for error in result.errors] == ["restore"]
+    assert target.epoch == epoch
 
 
 def test_writer_rejects_bad_keep(tmp_path):

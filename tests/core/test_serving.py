@@ -1,12 +1,13 @@
 """Tests for the async serving loop (DESIGN.md §5).
 
 The acceptance property: with the maintenance queue drained,
-``stream_deployment(async_serving=True)`` is **bit-identical** to the
-synchronous loop for every shard router × eviction policy combination
-— same accept/reject decisions, same credibility and confidence, same
-surviving calibration state.  On top of that: snapshot immutability,
-queue backpressure (coalesce vs drop vs block), staleness bounds,
-worker-crash propagation, and the structural-mutation guard.
+``stream_deployment(serving=ServingConfig(asynchronous=True))`` is
+**bit-identical** to the synchronous loop for every shard router ×
+eviction policy combination — same accept/reject decisions, same
+credibility and confidence, same surviving calibration state.  On top
+of that: snapshot immutability, queue backpressure (coalesce vs drop vs
+block), staleness bounds, worker-crash propagation, and the
+structural-mutation guard.
 
 Everything here exercises real threads, so the whole module carries the
 ``concurrency`` marker — CI runs it separately under
@@ -22,6 +23,7 @@ import pytest
 
 from repro.core import (
     AsyncServingLoop,
+    CheckpointWriter,
     DriftMonitor,
     LoopConfig,
     ModelInterface,
@@ -409,6 +411,33 @@ class TestPublishCoalescing:
             assert loop.stats.snapshots_published == 1
             assert loop.snapshot.epoch == interface.epoch
         assert len(loop.errors) == 1
+
+    def test_checkpoint_tail_job_flushes_deferred_publish(self, tmp_path):
+        """A checkpoint as the backlog's last job must not strand a fold.
+
+        Fold 2 hits ``publish_every`` and queues a checkpoint behind
+        fold 3, so fold 3 defers its publish to the checkpoint job —
+        which publishes nothing itself and must flush the deferral.
+        """
+        interface = _trained_interface()
+        with _PluggedLoop(
+            interface,
+            queue_capacity=8,
+            publish_every=2,
+            checkpoint=CheckpointWriter(tmp_path),
+        ) as plugged:
+            loop = plugged.loop
+            for seed in range(430, 433):
+                assert loop.submit_fold(*_fold_batch(seed))
+            assert plugged.entered.wait(30)
+            plugged.release.set()
+            loop.drain(timeout=30)
+            assert loop.snapshot.epoch == interface.streaming.epoch
+            assert loop.staleness == 0
+            assert loop.stats.jobs_executed == 4
+            assert loop.stats.checkpoint_generations == 1
+            assert loop.stats.snapshots_published == 2
+        assert loop.errors == []
 
 
 class TestStalenessBounds:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import (
     CalibrationError,
+    CalibrationStore,
     ClusterShardRouter,
     HashShardRouter,
     LabelShardRouter,
@@ -366,12 +367,6 @@ class TestShardedClassifierEquivalence:
             streaming.evaluate(test_f, test_p), fresh.evaluate(test_f, test_p)
         )
 
-    def test_single_shard_requires_sharded_store(self):
-        streaming = StreamingPromClassifier(capacity=50)
-        streaming.calibrate(*_classification_batch(40, seed=0))
-        with pytest.raises(CalibrationError):
-            streaming.recalibrate_shards()
-
     def test_shard_taus_exposed(self):
         streaming = StreamingPromClassifier(
             capacity=120, seed=0, n_shards=3, router="hash"
@@ -402,6 +397,80 @@ class TestShardedClassifierEquivalence:
         test_f, test_p, _ = _classification_batch(20, seed=52)
         _assert_decision_identical(
             streaming.evaluate(test_f, test_p), fresh.evaluate(test_f, test_p)
+        )
+
+
+class TestOneShardDefault:
+    """The default ``n_shards=1`` runtime is the one-shard sharded runtime."""
+
+    @pytest.mark.parametrize("kind", ("classifier", "regressor"))
+    def test_recalibrate_shards_matches_refresh(self, kind):
+        if kind == "classifier":
+            streaming = StreamingPromClassifier(capacity=90, seed=0)
+            batch = _classification_batch
+            test_f, test_p, _ = _classification_batch(30, seed=52)
+        else:
+            streaming = StreamingPromRegressor(
+                prom=PromRegressor(n_clusters=3, calibration_residuals="true", seed=0),
+                capacity=90,
+                seed=0,
+            )
+            batch = _regression_batch
+            g = np.random.default_rng(53)
+            test_f, test_p = g.normal(size=(30, 6)), g.normal(size=30)
+        assert isinstance(streaming.store, ShardedCalibrationStore)
+        assert streaming.n_shards == 1
+        streaming.calibrate(*batch(70, seed=5))
+        for round_ in range(3):
+            # a frozen tau leaves the live state behind both rebuilds
+            streaming.update(
+                *batch(15, seed=6 + round_, shift=1.0), retune_tau=False
+            )
+        recalibrated = copy.deepcopy(streaming).recalibrate_shards()
+        # the regressor's recalibration keeps the fitted clusterer, so
+        # its refresh() reference does too
+        refreshed = copy.deepcopy(streaming)
+        if kind == "classifier":
+            refreshed.refresh()
+        else:
+            refreshed.refresh(refit_clusters=False)
+        assert recalibrated.shard_sizes == (len(recalibrated.store),)
+        _assert_decision_identical(
+            recalibrated.evaluate(test_f, test_p),
+            refreshed.evaluate(test_f, test_p),
+        )
+
+    def test_model_update_keeps_reservoir_stream_state(self):
+        """``replace_outputs`` leaves one shard's Algorithm R state alone.
+
+        A model update rewrites every stored row but not the stream the
+        reservoir samples: ``n_seen`` keeps counting and the RNG keeps
+        its position, so membership after later folds is that of one
+        uninterrupted reservoir over the same batch sizes.
+        """
+        capacity, sizes = 60, (70, 15, 15, 15, 15, 15)
+        streaming = StreamingPromClassifier(
+            capacity=capacity, eviction="reservoir", seed=3
+        )
+        reference = CalibrationStore(capacity, "reservoir", seed=3)
+        for round_, size in enumerate(sizes):
+            batch = _classification_batch(size, seed=80 + round_)
+            if round_ == 0:
+                streaming.calibrate(*batch)
+            else:
+                streaming.update(*batch)
+            reference.add(row=np.arange(size))
+            if round_ == 2:
+                seen = streaming.store.n_seen
+                streaming.replace_outputs(
+                    streaming.store.column("features") + 1.0,
+                    streaming.store.column("probabilities"),
+                    streaming.store.column("label"),
+                )
+                assert streaming.store.n_seen == seen
+        assert streaming.store.n_seen == reference.n_seen == sum(sizes)
+        assert np.array_equal(
+            np.sort(streaming.store.arrival), np.sort(reference.arrival)
         )
 
 
