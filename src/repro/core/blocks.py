@@ -182,8 +182,10 @@ class BlockColumn:
         The feature column never takes this path: its ``O(n x d)``
         concat is exactly the deferred cost the segment-direct kernels
         exist to avoid, and it is consumed through :meth:`panels`, not
-        through gathers.
+        through gathers.  A one-block column is its own gather base.
         """
+        if len(self.segments) == 1:
+            return self.segments[0]
         if self._gather_flat is None:
             self._gather_flat = np.concatenate(self.segments)
         return self._gather_flat

@@ -43,6 +43,7 @@ from multiprocessing.connection import wait as _connection_wait
 import numpy as np
 
 from .exceptions import ConfigurationError, ServingError, SharedSegmentError
+from .prom import use_serial_committee
 from .segments import (
     BundleComposeHook,
     bundle_from_manifest,
@@ -155,8 +156,11 @@ def _worker_main(conn, table_name: str) -> None:
     Messages are ``(kind, ...)`` tuples; every request is answered with
     ``("ok", result)`` or ``("err", message, traceback)`` — except
     ``("crash",)``, the fault hook, which hard-exits without a reply so
-    tests can exercise the parent's broken-pipe detection.
+    tests can exercise the parent's broken-pipe detection.  The
+    worker's committees run serially: the pool's parallelism is its
+    process count.
     """
+    use_serial_committee()
     runtime = _WorkerRuntime(table_name)
     try:
         while True:

@@ -27,6 +27,10 @@ Workflow (paper Figures 3 and 5):
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .clustering import CalibrationClusterer
@@ -44,6 +48,7 @@ from .nonconformity import (
 from .pvalue import (
     bin_subset_by_label,
     group_scores_by_label,
+    pvalue_workspace,
     pvalues_all_labels,
     pvalues_from_binning,
 )
@@ -54,6 +59,79 @@ from .weighting import AdaptiveWeighting, iter_squared_distance_chunks, squared_
 #: soft bound on the number of float64 cells one evaluation chunk's
 #: largest temporary may hold (~16 MB).
 _EVALUATE_CELL_BUDGET = 2_000_000
+
+#: below this many selected cells (``n_test * k``) a chunk's experts
+#: run serially: a pool round trip costs more than it saves on small
+#: batches (about break-even at 8-32 rows of a 12k-row store).
+_FAN_OUT_MIN_CELLS = 262_144
+
+#: set in evaluator processes, whose parallelism is the process count
+_serial_committee = False
+
+
+def _available_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fan_out_width(n_experts: int) -> int:
+    """Committee lanes: one per expert, at most one per available core."""
+    return 1 if _serial_committee else min(n_experts, _available_cores())
+
+
+def use_serial_committee() -> None:
+    """Run every committee of this process serially.
+
+    Called once by each :class:`~repro.core.multiproc.ProcessServingPool`
+    evaluator process: the pool already spreads requests over one
+    process per core, so a thread fan-out inside a worker would only
+    oversubscribe the cores.
+    """
+    global _serial_committee
+    _serial_committee = True
+
+
+@functools.lru_cache(maxsize=1)
+def _expert_pool() -> ThreadPoolExecutor:
+    """The process-wide committee pool, built on first fan-out."""
+    return ThreadPoolExecutor(
+        max_workers=_available_cores(), thread_name_prefix="prom-committee"
+    )
+
+
+# A pool built before a fork has no threads in the child, where map()
+# would wait forever; the child builds its own on first use instead.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_expert_pool.cache_clear)
+
+
+def _fan_out(binning, experts, run_expert) -> list:
+    """``[run_expert(*expert, workspace) for expert in experts]``, fanned out.
+
+    Each expert's p-values and verdict are computed on their own, so
+    the results are bit-identical whichever thread runs them.  Experts
+    are dealt round-robin onto ``width`` lanes; each lane runs its
+    experts in turn on the process-wide pool with one
+    :func:`~repro.core.pvalue.pvalue_workspace`, allocated here in the
+    submitting thread (DESIGN.md §2).  Chunks under
+    :data:`_FAN_OUT_MIN_CELLS` selected cells run serially inline.
+    """
+    experts = list(experts)
+    width = 1
+    if binning.flat_bins.size >= _FAN_OUT_MIN_CELLS:
+        width = _fan_out_width(len(experts))
+    workspaces = [pvalue_workspace(binning) for _ in range(width)]
+    if width == 1:
+        return [run_expert(*expert, workspaces[0]) for expert in experts]
+
+    def run_lane(lane):
+        return [
+            run_expert(*expert, workspaces[lane]) for expert in experts[lane::width]
+        ]
+
+    lanes = list(_expert_pool().map(run_lane, range(width)))
+    return [lanes[i % width][i // width] for i in range(len(experts))]
 
 
 def _evaluation_chunk(n_calibration: int, chunk_size: int | None, n_labels: int = 1) -> int:
@@ -330,32 +408,42 @@ class PromClassifier:
     def _evaluate_chunk(
         self, features, probabilities, predicted_labels, state
     ) -> DecisionBatch:
-        subset = self.weighting.select_batch(state.features, features)
+        binning = self._binning(state, features)
+
+        def run_expert(function, layout, workspace):
+            return assess_batch(
+                self._expert_pvalues(
+                    function, layout, binning, probabilities, workspace
+                ),
+                predicted_labels,
+                epsilon=self.epsilon,
+                gaussian_scale=self.gaussian_scale,
+                credibility_threshold=self.credibility_threshold,
+                confidence_threshold=self.confidence_threshold,
+                function_name=function.name,
+            )
+
+        return self.committee.decide_batch(
+            _fan_out(binning, zip(self.functions, state.layouts), run_expert)
+        )
+
+    def _binning(self, state, features):
         # Selection, weights and labels are expert-independent: bin them
         # once and share across the committee.
-        binning = bin_subset_by_label(subset, state.labels, self._n_classes)
-        assessments = []
-        for function, layout in zip(self.functions, state.layouts):
-            test_scores = function.score_all_labels(probabilities)
-            pvalues = pvalues_from_binning(
-                layout,
-                binning,
-                test_scores,
-                weight_mode=self.weight_mode,
-                tail=function.tail,
-            )
-            assessments.append(
-                assess_batch(
-                    pvalues,
-                    predicted_labels,
-                    epsilon=self.epsilon,
-                    gaussian_scale=self.gaussian_scale,
-                    credibility_threshold=self.credibility_threshold,
-                    confidence_threshold=self.confidence_threshold,
-                    function_name=function.name,
-                )
-            )
-        return self.committee.decide_batch(assessments)
+        subset = self.weighting.select_batch(state.features, features)
+        return bin_subset_by_label(
+            subset, state.labels, self._n_classes, weight_mode=self.weight_mode
+        )
+
+    def _expert_pvalues(self, function, layout, binning, probabilities, workspace):
+        return pvalues_from_binning(
+            layout,
+            binning,
+            function.score_all_labels(probabilities),
+            weight_mode=self.weight_mode,
+            tail=function.tail,
+            out=workspace,
+        )
 
     def evaluate_serial(self, features, probabilities, predicted_labels=None) -> list:
         """Per-sample reference implementation (pre-batch engine).
@@ -434,21 +522,20 @@ class PromClassifier:
         membership = np.empty((len(features), self._n_classes), dtype=bool)
         for start in range(0, len(features), chunk):
             stop = min(len(features), start + chunk)
-            subset = self.weighting.select_batch(
-                state.features, features[start:stop]
-            )
-            binning = bin_subset_by_label(subset, state.labels, self._n_classes)
-            inclusion_votes = np.zeros((stop - start, self._n_classes))
-            for function, layout in zip(self.functions, state.layouts):
-                test_scores = function.score_all_labels(probabilities[start:stop])
-                pvalues = pvalues_from_binning(
-                    layout,
-                    binning,
-                    test_scores,
-                    weight_mode=self.weight_mode,
-                    tail=function.tail,
+            binning = self._binning(state, features[start:stop])
+            chunk_probabilities = probabilities[start:stop]
+
+            def run_expert(function, layout, workspace):
+                pvalues = self._expert_pvalues(
+                    function, layout, binning, chunk_probabilities, workspace
                 )
-                inclusion_votes += (pvalues > self.epsilon).astype(float)
+                return pvalues > self.epsilon
+
+            inclusion_votes = np.zeros((stop - start, self._n_classes))
+            for included in _fan_out(
+                binning, zip(self.functions, state.layouts), run_expert
+            ):
+                inclusion_votes += included.astype(float)
             membership[start:stop] = inclusion_votes > 0.5 * len(self.functions)
         return membership
 
@@ -690,13 +777,15 @@ class PromRegressor:
     def _evaluate_chunk(self, features, predictions, state) -> DecisionBatch:
         approx_targets = self._approximate_targets(features, state)
         subset = self.weighting.select_batch(state.features, features)
-        binning = bin_subset_by_label(subset, state.labels, self.clusterer_.k_)
+        n_clusters = self.clusterer_.k_
+        binning = bin_subset_by_label(
+            subset, state.labels, n_clusters, weight_mode=self.weight_mode
+        )
         assigned_clusters = np.asarray(
             self.clusterer_.assign(features), dtype=int
         )
-        n_clusters = self.clusterer_.k_
-        assessments = []
-        for function, layout in zip(self.score_functions, state.layouts):
+
+        def run_expert(function, layout, workspace):
             test_scores = function.score(predictions, approx_targets)
             # The same residual score stands in for every candidate
             # cluster (the scalar path's np.full, batched).
@@ -708,19 +797,21 @@ class PromRegressor:
                 binning,
                 test_matrix,
                 weight_mode=self.weight_mode,
+                out=workspace,
             )
-            assessments.append(
-                assess_batch(
-                    pvalues,
-                    assigned_clusters,
-                    epsilon=self.epsilon,
-                    gaussian_scale=self.gaussian_scale,
-                    credibility_threshold=self.credibility_threshold,
-                    confidence_threshold=self.confidence_threshold,
-                    function_name=function.name,
-                )
+            return assess_batch(
+                pvalues,
+                assigned_clusters,
+                epsilon=self.epsilon,
+                gaussian_scale=self.gaussian_scale,
+                credibility_threshold=self.credibility_threshold,
+                confidence_threshold=self.confidence_threshold,
+                function_name=function.name,
             )
-        return self.committee.decide_batch(assessments)
+
+        return self.committee.decide_batch(
+            _fan_out(binning, zip(self.score_functions, state.layouts), run_expert)
+        )
 
     def evaluate_serial(self, features, predictions) -> list:
         """Per-sample reference implementation (pre-batch engine).

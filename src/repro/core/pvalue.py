@@ -274,64 +274,94 @@ class SubsetBinning:
     Every expert of a committee shares the same calibration selection,
     distance weights and true labels; only the score values differ.
     This structure is computed once per batch and reused across experts:
-    the selected labels, the flattened (test sample, label) bin index of
-    every selected calibration sample, and both denominators (weighted
-    and unweighted per-bin totals, for the two weight modes).
+    the flattened (test sample, label) bin index of every selected
+    calibration sample and the denominator of the batch's weight mode.
 
     Attributes:
         indices / weights: the selection, as in
             :class:`~repro.core.weighting.CalibrationSubsetBatch`.
-        selected_labels: true label of each selected sample.
         flat_bins: flattened scatter-add target bin of each selected
-            sample (``row * n_labels + label``).
+            sample (``row * n_labels + label``), row-major over
+            ``indices``.
         weight_sums: ``(n_test, n_labels)`` sum of selected weights per
             bin — the ``"count"``-mode denominator before its ``+1``.
         counts: ``(n_test, n_labels)`` selected samples per bin — the
-            ``"multiply"``-mode denominator before its ``+1``.
+            ``"multiply"``-mode denominator before its ``+1``; ``None``
+            when the binning was built for ``"count"``.
         n_labels: number of candidate labels.
     """
 
     indices: np.ndarray
     weights: np.ndarray
-    selected_labels: np.ndarray
     flat_bins: np.ndarray
     weight_sums: np.ndarray
-    counts: np.ndarray
+    counts: np.ndarray | None
     n_labels: int
+
+
+def _gather_base(column) -> np.ndarray:
+    """The flat array a row gather of a scalar ``column`` reads from."""
+    if isinstance(column, BlockColumn):
+        return column.gather_base()
+    return column
 
 
 def bin_subset_by_label(
     subset_batch: CalibrationSubsetBatch,
     calibration_labels: np.ndarray,
     n_labels: int,
+    weight_mode: str = "count",
 ) -> SubsetBinning:
     """Build the shared :class:`SubsetBinning` for one evaluation batch.
 
     ``calibration_labels`` may be a
     :class:`~repro.core.blocks.BlockColumn` of per-shard label blocks;
-    the selection gather then iterates the blocks directly (a gather is
-    exact, so the binning is bit-identical to the flat path).
+    the selection gather then reads its gather base (a gather is exact,
+    so the binning is bit-identical to the flat path).  ``counts`` is
+    built only for ``weight_mode="multiply"``, the one mode that reads
+    it.
     """
+    if weight_mode not in WEIGHT_MODES:
+        raise ConfigurationError(f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
     indices = np.asarray(subset_batch.indices)
     weights = np.asarray(subset_batch.weights)
-    if isinstance(calibration_labels, BlockColumn):
-        selected_labels = np.asarray(calibration_labels[indices], dtype=int)
-    else:
-        selected_labels = np.asarray(calibration_labels, dtype=int)[indices]
+    if not isinstance(calibration_labels, BlockColumn):
+        calibration_labels = np.asarray(calibration_labels, dtype=int)
     n_test = len(indices)
-    rows = np.arange(n_test)[:, None]
-    flat_bins = (rows * n_labels + selected_labels).ravel()
+    # the selected labels become the bins in place: row offsets are
+    # added to the gathered labels, never to a second (n_test, k) copy
+    flat_bins = np.take(
+        _gather_base(calibration_labels), indices.reshape(-1)
+    ).astype(int, copy=False)
+    bins = flat_bins.reshape(indices.shape)
+    bins += (np.arange(n_test) * n_labels)[:, None]
     return SubsetBinning(
         indices=indices,
         weights=weights,
-        selected_labels=selected_labels,
         flat_bins=flat_bins,
         weight_sums=_label_binned_sums(flat_bins, weights, n_test, n_labels),
-        counts=np.bincount(flat_bins, minlength=n_test * n_labels)
-        .reshape(n_test, n_labels)
-        .astype(float),
+        counts=(
+            np.bincount(flat_bins, minlength=n_test * n_labels)
+            .reshape(n_test, n_labels)
+            .astype(float)
+            if weight_mode == "multiply"
+            else None
+        ),
         n_labels=n_labels,
     )
+
+
+def pvalue_workspace(binning: SubsetBinning) -> tuple:
+    """Scratch buffers for one :func:`pvalues_from_binning` call at a time.
+
+    ``(values, thresholds, masks)``: two float vectors and a ``(2,
+    n_test * k)`` boolean matrix, every cell overwritten by each call,
+    so one workspace serves any number of experts in turn (never two at
+    once).  The committee fan-out allocates them in the submitting
+    thread — see DESIGN.md §2 for the per-thread-arena reason.
+    """
+    size = binning.flat_bins.size
+    return np.empty(size), np.empty(size), np.empty((2, size), dtype=bool)
 
 
 def pvalues_from_binning(
@@ -340,6 +370,7 @@ def pvalues_from_binning(
     test_scores: np.ndarray,
     weight_mode: str = "count",
     tail: str = "right",
+    out: tuple | None = None,
 ) -> np.ndarray:
     """One expert's ``(n_test, n_labels)`` p-values from shared binning.
 
@@ -350,15 +381,21 @@ def pvalues_from_binning(
     per tail.  Everything is ``O(n_test * k)`` time and memory — never
     the dense ``n_test * n_labels * k`` of per-label boolean masks.
 
-    ``layout.scores`` may be a
-    :class:`~repro.core.blocks.BlockColumn` (the segment-direct
-    evaluation view); the score gather then iterates per-shard blocks
-    with bit-identical results.
+    Both gathers are flat ``np.take`` calls: the thresholds read the
+    raveled test scores at the already-built bins, the scores read the
+    column's gather base (``layout.scores`` may be a
+    :class:`~repro.core.blocks.BlockColumn`, the segment-direct
+    evaluation view).  Masks and weighted products are written into
+    ``out`` — a :func:`pvalue_workspace` — with the score buffer reused
+    as the product buffer; ``out=None`` allocates a fresh workspace.
+    The result is bit-identical to the fancy-indexing formulation.
     """
     if weight_mode not in WEIGHT_MODES:
         raise ConfigurationError(f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
     if tail not in ("right", "both"):
         raise ConfigurationError(f"tail must be 'right' or 'both', got {tail!r}")
+    if weight_mode == "multiply" and binning.counts is None:
+        raise ConfigurationError("binning was built without multiply-mode counts")
     test_scores = np.asarray(test_scores, dtype=float)
     n_labels = layout.n_labels
     if test_scores.ndim != 2 or test_scores.shape[1] != n_labels:
@@ -366,41 +403,30 @@ def pvalues_from_binning(
             f"test_scores must be (n_test, {n_labels}), got {test_scores.shape}"
         )
     n_test = test_scores.shape[0]
-    selected_scores = layout.scores[binning.indices]
+    values, thresholds, masks = pvalue_workspace(binning) if out is None else out
+    weights = binning.weights.reshape(-1)
+    # mode="wrap": with out= the default "raise" gathers into a hidden
+    # temporary first; selection indices and bins are in range anyway
+    np.take(
+        _gather_base(layout.scores), binning.indices.reshape(-1), out=values, mode="wrap"
+    )
     # Each selected sample competes for its own true label: its
     # comparison threshold is the test sample's score at that label.
-    rows = np.arange(n_test)[:, None]
-    thresholds = test_scores[rows, binning.selected_labels]
-
-    if weight_mode == "count":
-        compared = selected_scores >= thresholds
-        compared = binning.weights * compared
-        right = _label_binned_sums(binning.flat_bins, compared, n_test, n_labels)
-        if tail == "both":
-            compared_left = binning.weights * (selected_scores <= thresholds)
-            left = _label_binned_sums(
-                binning.flat_bins, compared_left, n_test, n_labels
-            )
-            numerators = 2.0 * np.minimum(right, left)
+    np.take(test_scores.reshape(-1), binning.flat_bins, out=thresholds, mode="wrap")
+    if weight_mode == "multiply":
+        np.multiply(weights, values, out=values)
+    np.greater_equal(values, thresholds, out=masks[0])
+    if tail == "both":
+        np.less_equal(values, thresholds, out=masks[1])
+    tails = []
+    for mask in masks[: 2 if tail == "both" else 1]:
+        if weight_mode == "count":
+            np.multiply(weights, mask, out=values)
         else:
-            numerators = right
-        denominators = binning.weight_sums
-    else:
-        adjusted = binning.weights * selected_scores
-        right = _label_binned_sums(
-            binning.flat_bins, (adjusted >= thresholds).astype(float), n_test, n_labels
-        )
-        if tail == "both":
-            left = _label_binned_sums(
-                binning.flat_bins,
-                (adjusted <= thresholds).astype(float),
-                n_test,
-                n_labels,
-            )
-            numerators = 2.0 * np.minimum(right, left)
-        else:
-            numerators = right
-        denominators = binning.counts
+            np.copyto(values, mask)
+        tails.append(_label_binned_sums(binning.flat_bins, values, n_test, n_labels))
+    numerators = tails[0] if tail == "right" else 2.0 * np.minimum(*tails)
+    denominators = binning.weight_sums if weight_mode == "count" else binning.counts
     return np.minimum(1.0, numerators / (denominators + 1.0))
 
 
@@ -421,7 +447,9 @@ def pvalues_all_labels_batch(
     ``test_scores`` holds each test sample's nonconformity at every
     candidate label, shape ``(n_test, n_labels)``.
     """
-    binning = bin_subset_by_label(subset_batch, layout.labels, layout.n_labels)
+    binning = bin_subset_by_label(
+        subset_batch, layout.labels, layout.n_labels, weight_mode=weight_mode
+    )
     return pvalues_from_binning(
         layout, binning, test_scores, weight_mode=weight_mode, tail=tail
     )

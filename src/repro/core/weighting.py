@@ -342,15 +342,16 @@ class AdaptiveWeighting:
         for start, stop, block in iter_squared_distance_chunks(
             test, features, chunk_size
         ):
-            rows = np.arange(stop - start)[:, None]
             if keep == n:
-                block_indices = np.broadcast_to(np.arange(n), block.shape)
-                block_squared = block
-            else:
-                block_indices = np.argpartition(block, keep - 1, axis=1)[:, :keep]
-                block_squared = block[rows, block_indices]
-            indices[start:stop] = block_indices
-            squared[start:stop] = block_squared
+                indices[start:stop] = np.arange(n)
+                squared[start:stop] = block
+                continue
+            indices[start:stop] = np.argpartition(block, keep - 1, axis=1)[:, :keep]
+            # one flat gather straight into the output rows (no
+            # fancy-index temporary); mode="wrap" skips the hidden
+            # bounds-check copy that out= takes under the default mode
+            flat = indices[start:stop] + (np.arange(stop - start) * n)[:, None]
+            np.take(block.reshape(-1), flat, out=squared[start:stop], mode="wrap")
         weights = squared / -tau
         np.exp(weights, out=weights)
         np.maximum(weights, self.weight_floor, out=weights)
