@@ -43,7 +43,7 @@ from repro.core import (
     StreamingPromClassifier,
 )
 from repro.core.blocks import SEGMENT_DIRECT_MIN_ROWS, segment_direct_supported
-from repro.core.prom import _pending_bundle
+from repro.core.segments import current_bundle
 
 from conftest import update_bench_json
 
@@ -165,7 +165,10 @@ def measure_first_decision(scale, seed=0) -> dict:
       the bundle **stays pending afterwards** (verified each round);
     * *flat* — the pre-ISSUE-8 behaviour, reproduced by firing the
       snapshot's compose hook inside the timed region (the ``O(n)``
-      concat of every column) before the same evaluate.
+      concat of every column) before the same evaluate.  Evaluate
+      reads the bundle's view whether or not the flat state exists, so
+      ``first_decision_flat_ms`` measures the deferred concat plus the
+      same view evaluate; there is no separate flat-array kernel path.
 
     Decision traffic keeps flowing against the *previous* snapshot
     while each publish drains — the steady-serving regime, so the
@@ -202,7 +205,7 @@ def measure_first_decision(scale, seed=0) -> dict:
             started = time.perf_counter()
             prom.evaluate(X_eval, proba)
             segment_ms.append((time.perf_counter() - started) * 1e3)
-            stayed_pending &= _pending_bundle(prom) is not None
+            stayed_pending &= current_bundle(prom).fields["_features"].cached_flat is None
             for _ in range(6):
                 started = time.perf_counter()
                 prom.evaluate(X_eval, proba)

@@ -32,14 +32,15 @@ from .visitor import (
 )
 
 # Calls whose results are frozen snapshot/segment state (PL001).
-# evaluation_view()/pending_bundle()/restrict() hand out the published
-# segment-direct evaluation state, and panels()/row_norms() return the
-# shared kernel caches behind it (DESIGN.md §9) — all are read by
-# lock-free evaluates and must never be written through.
+# current_bundle() hands out a detector's published bundle,
+# evaluation_view()/restrict() the evaluation state built over it, and
+# panels()/row_norms()/gather_base() the shared kernel caches behind it
+# (DESIGN.md §9) — all are read by lock-free evaluates and must never
+# be written through.
 SNAPSHOT_SOURCES = frozenset(
     {
         "detector_snapshot", "column_segment", "column_segments", "snapshot",
-        "evaluation_view", "pending_bundle", "restrict", "panels", "row_norms",
+        "current_bundle", "evaluation_view", "restrict", "panels", "row_norms",
         "gather_base",
     }
 )

@@ -59,8 +59,8 @@ PANEL_ROWS = 1024
 
 #: below this many total calibration rows the canonical partition is a
 #: single panel — the historical one-GEMM call — so small sets keep
-#: their exact arithmetic and the segmented backend falls back to flat
-#: materialization instead of panel iteration.
+#: their exact arithmetic and the evaluation view reads one block per
+#: column over the flat concatenation instead of the shard blocks.
 SEGMENT_DIRECT_MIN_ROWS = 2048
 
 #: memoized result of the one-time runtime probe (None = not probed).
@@ -317,6 +317,20 @@ class BlockColumn:
                 self._norm_map.setdefault(block_id, norms)
 
 
+def as_block_column(column, dtype=None) -> BlockColumn:
+    """``column`` itself, or a one-block column over an array-like.
+
+    The evaluate kernels read every calibration column as a
+    :class:`BlockColumn`; this is their one entry-point coercion, so
+    callers holding plain arrays (pruning centroids, leave-one-out
+    targets, tests) pass them unchanged.  ``dtype`` applies to the
+    array case only.
+    """
+    if isinstance(column, BlockColumn):
+        return column
+    return BlockColumn((np.asarray(column, dtype=dtype),))
+
+
 def export_block(block) -> np.ndarray:
     """A C-contiguous ndarray with ``block``'s bytes, ready for export.
 
@@ -377,8 +391,8 @@ def segment_direct_supported() -> bool:
     value-identical contiguous operands, so this should hold on any
     deterministic BLAS; the probe (a few small GEMMs, run once per
     process and memoized) is the safety net for an exotic one —
-    ``False`` makes every segment-direct consumer fall back to flat
-    materialization, which is trivially bit-identical.
+    ``False`` makes every evaluation view one block per column over the
+    flat concatenation, which is trivially bit-identical.
     """
     global _PROBE_RESULT
     if _PROBE_RESULT is None:

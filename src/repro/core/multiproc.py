@@ -136,11 +136,6 @@ class _WorkerRuntime:
         bundle = bundle_from_manifest(manifest["bundle"], self.attacher.get)
         prom._compose_hook = BundleComposeHook(prom, bundle)
         prom._segment_bundle = bundle
-        # Calibration marker: `is_calibrated` checks the backing slot
-        # hook-free, so seed it with a placeholder.  The placeholder is
-        # never observed — the descriptor fires the compose hook (which
-        # overwrites every slot from the bundle) before reading it.
-        prom._features = None
         return interface
 
     def close(self) -> None:

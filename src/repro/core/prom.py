@@ -53,7 +53,7 @@ from .pvalue import (
     pvalues_from_binning,
 )
 from .scores import assess, assess_batch
-from .segments import ComposedStateAttr, EvaluationView, state_is_set
+from .segments import ComposedStateAttr, SegmentBundle, current_bundle
 from .weighting import AdaptiveWeighting, iter_squared_distance_chunks, squared_distance_matrix
 
 #: soft bound on the number of float64 cells one evaluation chunk's
@@ -150,24 +150,15 @@ def _evaluation_chunk(n_calibration: int, chunk_size: int | None, n_labels: int 
     return max(1, _EVALUATE_CELL_BUDGET // widest)
 
 
-def _pending_bundle(prom):
-    """The un-materialized compose bundle behind ``prom``, or ``None``.
-
-    Hook-free: inspects the installed ``_compose_hook`` without firing
-    it, so asking never triggers the deferred flat concatenation.
-    """
-    hook = prom.__dict__.get("_compose_hook")
-    pending = getattr(hook, "pending_bundle", None)
-    return pending() if pending is not None else None
-
-
-def _segment_view(prom):
-    """The segment-direct :class:`EvaluationView`, or ``None`` (flat path)."""
-    bundle = _pending_bundle(prom)
-    return bundle.evaluation_view() if bundle is not None else None
-
-
 def _check_calibration_inputs(features, outputs, targets):
+    """Validate one calibration batch; non-finite values fail closed.
+
+    Shared by every path that writes calibration state (``calibrate``,
+    streaming ``update``/``refresh``/``replace_outputs``), so a NaN or
+    infinite feature, model output or target raises
+    :class:`~repro.core.exceptions.ValidationError` before any store or
+    detector state changes.
+    """
     features = np.asarray(features, dtype=float)
     outputs = np.asarray(outputs, dtype=float)
     targets = np.asarray(targets)
@@ -179,6 +170,11 @@ def _check_calibration_inputs(features, outputs, targets):
         raise CalibrationError(
             "calibration features, model outputs and targets must align"
         )
+    if not all(
+        np.isfinite(array).all()
+        for array in (features, outputs, targets.astype(float))
+    ):
+        raise ValidationError("calibration data contains NaN or inf")
     return features, outputs, targets
 
 
@@ -200,11 +196,12 @@ class PromClassifier:
             ties reject).
     """
 
-    # Calibration state attributes behind compose-aware descriptors: a
-    # streaming wrapper may hold this state as per-shard segments
-    # (core/segments.py) and install a ``_compose_hook`` that
-    # materializes the flat arrays on first read.  Plain (non-streaming)
-    # use assigns and reads them exactly like ordinary attributes.
+    # Flat calibration state behind compose-aware descriptors: a
+    # streaming wrapper holds this state as per-shard segments
+    # (core/segments.py) and installs a ``_compose_hook`` that
+    # materializes the flat arrays on first read.  The evaluate kernels
+    # never read them: they read ``current_bundle(self)``'s evaluation
+    # view, which ``calibrate()`` seeds as a one-shard bundle.
     _features = ComposedStateAttr()
     _labels = ComposedStateAttr()
     _scores = ComposedStateAttr()
@@ -276,37 +273,31 @@ class PromClassifier:
             group_scores_by_label(scores, labels, self._n_classes)
             for scores in self._scores
         ]
+        self._segment_bundle = SegmentBundle.from_arrays(
+            {"_features": features, "_labels": labels},
+            self._scores,
+            [layout.group_counts for layout in self._layouts],
+            "_labels",
+            self._n_classes,
+        )
         return self
 
     @property
     def is_calibrated(self) -> bool:
         # hook-free check: must not trigger lazy compose materialization
-        return state_is_set(self, "_features")
+        return current_bundle(self) is not None
 
     @property
     def calibration_size(self) -> int:
         """Number of calibration samples backing the detector (0 before
-        ``calibrate()``).  Counted from the pending compose bundle when
-        one exists, so asking never forces the flat materialization."""
-        if not self.is_calibrated:
-            return 0
-        bundle = _pending_bundle(self)
-        if bundle is not None:
-            return len(bundle.fields["_features"])
-        return len(self._features)
+        ``calibrate()``).  Counted from the current bundle, so asking
+        never forces the flat materialization."""
+        bundle = current_bundle(self)
+        return 0 if bundle is None else len(bundle.fields["_features"])
 
     def _require_calibrated(self):
         if not self.is_calibrated:
             raise NotCalibratedError("call calibrate() before evaluating samples")
-
-    def _evaluation_state(self) -> EvaluationView:
-        """The flat-state evaluation view (materializes composed state)."""
-        return EvaluationView(
-            features=self._features,
-            labels=self._labels,
-            layouts=tuple(self._layouts),
-            n_labels=self._n_classes,
-        )
 
     def _check_evaluate_inputs(self, features, probabilities, predicted_labels):
         features = np.asarray(features, dtype=float)
@@ -352,11 +343,12 @@ class PromClassifier:
         distance matrix, one p-value kernel per expert, and one
         committee vote, independent of the number of samples.
 
-        When the detector's state sits behind an un-materialized
-        compose bundle (a streaming snapshot), the kernels iterate the
-        per-shard blocks directly — bit-identical to the flat path, and
-        the ``O(n)`` flat concatenation never happens (DESIGN.md §9).
-        A :class:`~repro.core.pruning.CandidatePruner` installed as
+        The kernels read the current bundle's
+        :class:`~repro.core.segments.EvaluationView`: on a large
+        streaming store they iterate the per-shard blocks directly —
+        bit-identical to the flat arrays, and the ``O(n)`` flat
+        concatenation never happens (DESIGN.md §9).  A
+        :class:`~repro.core.pruning.CandidatePruner` installed as
         ``_pruner`` additionally restricts each test sample to its
         router-affine candidate shards.  ``chunk_size=None`` falls back
         to the instance default ``_chunk_size`` (when set) before the
@@ -368,9 +360,9 @@ class PromClassifier:
         )
         if chunk_size is None:
             chunk_size = getattr(self, "_chunk_size", None)
-        view = _segment_view(self)
+        view = current_bundle(self).evaluation_view()
         pruner = self.__dict__.get("_pruner")
-        if view is not None and pruner is not None:
+        if pruner is not None:
             pruned = pruner.evaluate(
                 self,
                 view,
@@ -381,9 +373,8 @@ class PromClassifier:
             )
             if pruned is not None:
                 return pruned
-        state = view if view is not None else self._evaluation_state()
         return self._evaluate_rows(
-            state, features, (probabilities, predicted_labels), chunk_size
+            view, features, (probabilities, predicted_labels), chunk_size
         )
 
     def _evaluate_rows(self, state, features, payload, chunk_size) -> DecisionBatch:
@@ -514,8 +505,7 @@ class PromClassifier:
         features, probabilities, _ = self._check_evaluate_inputs(
             features, probabilities, None
         )
-        view = _segment_view(self)
-        state = view if view is not None else self._evaluation_state()
+        state = current_bundle(self).evaluation_view()
         chunk = _evaluation_chunk(
             len(state.features), chunk_size, self._n_classes
         )
@@ -639,38 +629,31 @@ class PromRegressor:
             group_scores_by_label(scores, self._clusters, self.clusterer_.k_)
             for scores in self._scores
         ]
+        self._segment_bundle = SegmentBundle.from_arrays(
+            {"_features": features, "_targets": targets, "_clusters": self._clusters},
+            self._scores,
+            [layout.group_counts for layout in self._layouts],
+            "_clusters",
+            self.clusterer_.k_,
+        )
         return self
 
     @property
     def is_calibrated(self) -> bool:
         # hook-free check: must not trigger lazy compose materialization
-        return state_is_set(self, "_features")
+        return current_bundle(self) is not None
 
     @property
     def calibration_size(self) -> int:
         """Number of calibration samples backing the detector (0 before
-        ``calibrate()``).  Counted from the pending compose bundle when
-        one exists, so asking never forces the flat materialization."""
-        if not self.is_calibrated:
-            return 0
-        bundle = _pending_bundle(self)
-        if bundle is not None:
-            return len(bundle.fields["_features"])
-        return len(self._features)
+        ``calibrate()``).  Counted from the current bundle, so asking
+        never forces the flat materialization."""
+        bundle = current_bundle(self)
+        return 0 if bundle is None else len(bundle.fields["_features"])
 
     def _require_calibrated(self):
         if not self.is_calibrated:
             raise NotCalibratedError("call calibrate() before evaluating samples")
-
-    def _evaluation_state(self) -> EvaluationView:
-        """The flat-state evaluation view (materializes composed state)."""
-        return EvaluationView(
-            features=self._features,
-            labels=self._clusters,
-            layouts=tuple(self._layouts),
-            n_labels=self.clusterer_.k_,
-            targets=self._targets,
-        )
 
     def _loo_targets(self, features: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Leave-one-out k-NN approximation of each calibration target."""
@@ -695,17 +678,16 @@ class PromRegressor:
 
         The test-vs-calibration distance matrix is built in
         memory-bounded chunks; each chunk needs one ``argpartition``
-        and one gather-mean.  Runs segment-direct (bit-identical, no
-        flat concat) when the state sits behind a pending compose
-        bundle.
+        and one gather-mean, read off the current bundle's evaluation
+        view (segment-direct on a large streaming store: bit-identical,
+        no flat concat).
         """
         self._require_calibrated()
         features = np.asarray(features, dtype=float)
         if features.ndim == 1:
             features = features.reshape(1, -1)
-        view = _segment_view(self)
-        state = view if view is not None else self._evaluation_state()
-        return self._approximate_targets(features, state, chunk_size)
+        view = current_bundle(self).evaluation_view()
+        return self._approximate_targets(features, view, chunk_size)
 
     def _approximate_targets(self, features, state, chunk_size=None) -> np.ndarray:
         """k-NN target estimates against one evaluation state."""
@@ -735,8 +717,8 @@ class PromRegressor:
         """Assess a batch of regression predictions with the batch engine.
 
         Mirrors :meth:`PromClassifier.evaluate`, including the
-        segment-direct path over a pending compose bundle, the optional
-        ``_pruner`` shard restriction, and the ``_chunk_size`` default.
+        evaluation view of the current bundle, the optional ``_pruner``
+        shard restriction, and the ``_chunk_size`` default.
         """
         self._require_calibrated()
         features = np.asarray(features, dtype=float)
@@ -745,16 +727,15 @@ class PromRegressor:
             features = features.reshape(1, -1)
         if chunk_size is None:
             chunk_size = getattr(self, "_chunk_size", None)
-        view = _segment_view(self)
+        view = current_bundle(self).evaluation_view()
         pruner = self.__dict__.get("_pruner")
-        if view is not None and pruner is not None:
+        if pruner is not None:
             pruned = pruner.evaluate(
                 self, view, features, (predictions,), chunk_size
             )
             if pruned is not None:
                 return pruned
-        state = view if view is not None else self._evaluation_state()
-        return self._evaluate_rows(state, features, (predictions,), chunk_size)
+        return self._evaluate_rows(view, features, (predictions,), chunk_size)
 
     def _evaluate_rows(self, state, features, payload, chunk_size) -> DecisionBatch:
         """Chunked committee evaluation against one evaluation state."""

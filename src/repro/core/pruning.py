@@ -100,11 +100,16 @@ class CandidatePruner:
         return centroids
 
     def _active_positions(self, view) -> list:
-        """Block positions with at least one calibration row."""
+        """Shard block positions with at least one calibration row.
+
+        Empty for a view without shard ids (one block over a flat
+        concatenation): there is no shard structure to prune.
+        """
+        segments = view.features.segments
         return [
             position
-            for position, block in enumerate(view.features.segments)
-            if len(block)
+            for position in range(len(view.shard_ids))
+            if len(segments[position])
         ]
 
     def _primary_positions(self, view, features, route_labels, active) -> np.ndarray:
@@ -168,8 +173,8 @@ class CandidatePruner:
         Groups the batch by primary shard, evaluates each group with
         the detector's unpruned machinery over the candidate-restricted
         block view, and reassembles the caller's row order.  Returns
-        ``None`` when pruning does not apply (empty view or batch) —
-        the caller then runs the plain path.
+        ``None`` when pruning does not apply (no shard blocks in the
+        view, or an empty batch) — the caller then runs the plain path.
         """
         n_test = len(features)
         active = self._active_positions(view)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockColumn
+from .blocks import as_block_column
 from .weighting import CalibrationSubset, CalibrationSubsetBatch
 from .exceptions import ConfigurationError, ValidationError
 
@@ -299,13 +299,6 @@ class SubsetBinning:
     n_labels: int
 
 
-def _gather_base(column) -> np.ndarray:
-    """The flat array a row gather of a scalar ``column`` reads from."""
-    if isinstance(column, BlockColumn):
-        return column.gather_base()
-    return column
-
-
 def bin_subset_by_label(
     subset_batch: CalibrationSubsetBatch,
     calibration_labels: np.ndarray,
@@ -325,14 +318,11 @@ def bin_subset_by_label(
         raise ConfigurationError(f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
     indices = np.asarray(subset_batch.indices)
     weights = np.asarray(subset_batch.weights)
-    if not isinstance(calibration_labels, BlockColumn):
-        calibration_labels = np.asarray(calibration_labels, dtype=int)
+    labels = as_block_column(calibration_labels, dtype=int).gather_base()
     n_test = len(indices)
     # the selected labels become the bins in place: row offsets are
     # added to the gathered labels, never to a second (n_test, k) copy
-    flat_bins = np.take(
-        _gather_base(calibration_labels), indices.reshape(-1)
-    ).astype(int, copy=False)
+    flat_bins = np.take(labels, indices.reshape(-1)).astype(int, copy=False)
     bins = flat_bins.reshape(indices.shape)
     bins += (np.arange(n_test) * n_labels)[:, None]
     return SubsetBinning(
@@ -408,7 +398,10 @@ def pvalues_from_binning(
     # mode="wrap": with out= the default "raise" gathers into a hidden
     # temporary first; selection indices and bins are in range anyway
     np.take(
-        _gather_base(layout.scores), binning.indices.reshape(-1), out=values, mode="wrap"
+        as_block_column(layout.scores).gather_base(),
+        binning.indices.reshape(-1),
+        out=values,
+        mode="wrap",
     )
     # Each selected sample competes for its own true label: its
     # comparison threshold is the test sample's score at that label.

@@ -19,10 +19,11 @@ This module replaces both copies with a **segment compose layer**:
   built in ``O(touched shards)`` after a mutation because untouched
   shards contribute the *same block objects* as the previous bundle;
 * :class:`ComposedStateAttr` — the descriptor the Prom detectors use
-  for their state attributes, so any read (an ``evaluate()``, a test
-  poking ``prom._features``) transparently materializes the current
-  bundle first.  Writes behave like plain attribute assignment, which
-  keeps the non-streaming ``calibrate()`` path untouched;
+  for their flat state attributes, so any flat read (the per-sample
+  reference loop, a test poking ``prom._features``) transparently
+  materializes the current bundle first.  Writes behave like plain
+  attribute assignment.  ``evaluate()`` never reads them: it reads the
+  bundle's :class:`EvaluationView` (:func:`current_bundle`);
 * :class:`BundleComposeHook` — the one-shot materializer installed on
   frozen detector snapshots, giving the serving plane
   **structural-sharing publishes**: a snapshot references the live
@@ -57,9 +58,8 @@ from .blocks import (
     BlockColumn,
     segment_direct_supported,
 )
-from .pvalue import LabelGroupedScores, merge_group_counts
+from .pvalue import LabelGroupedScores
 from .weighting import TAU_MAX_ROWS, TAU_SEED
-from .exceptions import ValidationError
 
 
 class ComposedStateAttr:
@@ -92,16 +92,6 @@ class ComposedStateAttr:
 
     def __delete__(self, instance):
         instance.__dict__.pop(self._slot, None)
-
-
-def state_is_set(instance, name: str) -> bool:
-    """Whether ``instance``'s composed-state attribute ``name`` holds a value.
-
-    The hook-free form of ``hasattr``: it inspects the descriptor's
-    backing slot without triggering materialization, so calibration
-    checks on the streaming hot path stay O(1).
-    """
-    return ("_composed" + name) in instance.__dict__
 
 
 class SegmentedField:
@@ -177,40 +167,17 @@ def gather_rows(segments, rows) -> np.ndarray:
     """Gather global rows from a segment list without the flat concat.
 
     Bit-identical to ``np.concatenate(segments)[rows]`` (row order
-    preserved, negative indices wrap like NumPy's), in ``O(len(rows))``
-    gathered cells instead of ``O(n)``.
+    preserved, negative indices wrap like NumPy's): the
+    :class:`~repro.core.blocks.BlockColumn` gather.
 
     Raises:
         ValueError: on an empty segment list.
         IndexError: when any row index is outside ``[-n, n)`` — the
             same contract as indexing the concatenation.
     """
-    segments = [np.asarray(segment) for segment in segments]
-    if not segments:
-        raise ValidationError("gather_rows needs at least one segment")
-    rows = np.asarray(rows, dtype=np.int64)
-    sizes = np.fromiter(
-        (len(segment) for segment in segments),
-        dtype=np.int64,
-        count=len(segments),
-    )
-    bounds = np.cumsum(sizes)
-    n = int(bounds[-1])
-    if len(rows):
-        rows = np.where(rows < 0, rows + n, rows)
-        if rows.min() < 0 or rows.max() >= n:
-            raise IndexError(
-                f"row index out of range for {n} segmented rows"
-            )
-    starts = bounds - sizes
-    dtype = np.result_type(*segments)
-    out = np.empty((len(rows),) + segments[0].shape[1:], dtype=dtype)
-    owners = np.searchsorted(bounds, rows, side="right")
-    for index, segment in enumerate(segments):
-        mask = owners == index
-        if mask.any():
-            out[mask] = segment[rows[mask] - starts[index]]
-    return out
+    return BlockColumn([np.asarray(segment) for segment in segments])[
+        np.asarray(rows, dtype=np.int64)
+    ]
 
 
 def tau_feature_sample(
@@ -253,15 +220,19 @@ class SegmentLayout:
 
 @dataclass(frozen=True)
 class EvaluationView:
-    """Calibration state the evaluate kernels consume, block-direct.
+    """The one calibration state the evaluate kernels read.
 
-    Built by :meth:`SegmentBundle.evaluation_view` over the bundle's
-    per-shard blocks (and duck-typed by the detectors' flat state, so
-    one evaluation code path serves both).  ``labels`` is the p-value
-    grouping column (class labels or cluster pseudo-labels);
+    Every column is a :class:`~repro.core.blocks.BlockColumn`, built by
+    :meth:`SegmentBundle.evaluation_view`: the per-shard blocks
+    themselves, or a single block over each field's flat array (small
+    sets, a BLAS that failed the runtime probe, and a plain
+    ``calibrate()``, whose bundle has one shard).  ``labels`` is the
+    p-value grouping column (class labels or cluster pseudo-labels);
     ``targets`` is present for regression only.  ``shard_ids`` maps
     each block position to its shard id — the contract the candidate
-    pruner (:mod:`repro.core.pruning`) keys on.
+    pruner (:mod:`repro.core.pruning`) keys on; it is empty for a
+    one-block view over a concatenation of several shards, which has
+    no shard structure left to prune.
     """
 
     features: BlockColumn
@@ -342,7 +313,6 @@ class SegmentBundle:
         "label_key",
         "n_labels",
         "_view",
-        "_view_ready",
         "_inherit_view",
     )
 
@@ -353,8 +323,28 @@ class SegmentBundle:
         self.label_key = label_key
         self.n_labels = int(n_labels)
         self._view = None
-        self._view_ready = False
         self._inherit_view = None
+
+    @classmethod
+    def from_arrays(cls, fields, scores, group_counts, label_key, n_labels):
+        """A one-shard bundle over freshly calibrated flat arrays.
+
+        The state of a plain ``calibrate()``: ``fields`` maps detector
+        attribute names to their arrays and ``scores`` holds one array
+        per expert; each becomes a one-block field whose flat cache is
+        the array itself.
+        """
+
+        def one_block(array):
+            return SegmentedField((array,), flat=array)
+
+        return cls(
+            {name: one_block(array) for name, array in fields.items()},
+            [one_block(array) for array in scores],
+            group_counts,
+            label_key,
+            n_labels,
+        )
 
     @property
     def n_shards(self) -> int:
@@ -390,18 +380,19 @@ class SegmentBundle:
             for expert_scores, counts in zip(scores, self.group_counts)
         ]
 
-    def evaluation_view(self) -> EvaluationView | None:
-        """The segment-direct :class:`EvaluationView`, or ``None``.
+    def evaluation_view(self) -> EvaluationView:
+        """The bundle's :class:`EvaluationView`, built once and cached.
 
-        ``None`` means segment-direct evaluation cannot be
-        bit-identical here — the local BLAS failed the runtime probe,
-        the composed set is below
-        :data:`~repro.core.blocks.SEGMENT_DIRECT_MIN_ROWS` (where the
-        canonical GEMM partition is the historical single panel), or
-        the bundle misses a feature field — and the caller must fall
-        back to flat materialization.  Computed once and cached on the
-        (immutable) bundle, so repeated evaluates against one snapshot
-        pay nothing.
+        The columns are the per-shard blocks when the composed set holds
+        at least :data:`~repro.core.blocks.SEGMENT_DIRECT_MIN_ROWS` rows
+        and the local BLAS passed the runtime probe
+        (:func:`~repro.core.blocks.segment_direct_supported`).
+        Otherwise each column is one block over its field's
+        :meth:`~SegmentedField.flat` array, which a later flat read
+        shares; below the threshold the canonical GEMM partition is the
+        historical single panel.  Either way the decisions are
+        bit-identical to the flat arrays', and reading the view never
+        fires the compose hook.
 
         The feature column's GEMM-panel cache is seeded from the
         field's materialized flat array when one exists (zero-copy
@@ -410,41 +401,39 @@ class SegmentBundle:
         whose blocks survived the mutation — so a publish touching one
         shard re-gathers only the panels overlapping that shard.
         """
-        if self._view_ready:
-            return self._view
-        view = None
-        feature_field = self.fields.get("_features")
-        if (
-            feature_field is not None
-            and feature_field.segments
-            and len(feature_field) >= SEGMENT_DIRECT_MIN_ROWS
-            and len(feature_field.trailing_shape) == 1
+        view = self._view
+        if view is not None:
+            return view
+        feature_field = self.fields["_features"]
+        segmented = (
+            len(feature_field) >= SEGMENT_DIRECT_MIN_ROWS
             and segment_direct_supported()
-        ):
-            view = EvaluationView(
-                features=BlockColumn(feature_field.segments),
-                labels=BlockColumn(self.fields[self.label_key].segments),
-                layouts=tuple(
-                    SegmentLayout(
-                        scores=BlockColumn(field.segments),
-                        n_labels=self.n_labels,
-                    )
-                    for field in self.score_fields
-                ),
-                n_labels=self.n_labels,
-                targets=(
-                    BlockColumn(self.fields["_targets"].segments)
-                    if "_targets" in self.fields
-                    else None
-                ),
-                shard_ids=tuple(range(len(feature_field.segments))),
-            )
-            view.features.seed_flat(feature_field.cached_flat)
-            if self._inherit_view is not None:
-                view.features.inherit_cache(self._inherit_view.features)
+        )
+
+        def column(field):
+            return BlockColumn(field.segments if segmented else (field.flat(),))
+
+        view = EvaluationView(
+            features=column(feature_field),
+            labels=column(self.fields[self.label_key]),
+            layouts=tuple(
+                SegmentLayout(scores=column(field), n_labels=self.n_labels)
+                for field in self.score_fields
+            ),
+            n_labels=self.n_labels,
+            targets=(
+                column(self.fields["_targets"])
+                if "_targets" in self.fields
+                else None
+            ),
+            shard_ids=tuple(range(len(feature_field.segments))) if segmented else (),
+        )
+        view.features.seed_flat(feature_field.cached_flat)
+        inherited = self._inherit_view
+        if inherited is not None:
+            view.features.inherit_cache(inherited.features)
         self._inherit_view = None
         self._view = view
-        self._view_ready = True
         return view
 
     def shared_shards_with(self, previous: "SegmentBundle | None") -> int:
@@ -501,17 +490,18 @@ class BundleComposeHook:
         self._bundle.apply(self._prom)
         self._done = True
 
-    def pending_bundle(self) -> SegmentBundle | None:
-        """The captured bundle while flat state is *not* materialized.
 
-        Segment-direct evaluation keys on this: a pending bundle means
-        an attribute read would trigger the ``O(n)`` flat concat, so
-        the evaluate kernels take the block-direct path instead (and
-        the hook stays pending — the concat never happens).  ``None``
-        once materialized (or frozen already-fresh): the flat arrays
-        exist, so reading them is free.
-        """
-        return None if self._done else self._bundle
+def current_bundle(prom) -> SegmentBundle | None:
+    """The :class:`SegmentBundle` ``prom`` evaluates against.
+
+    ``None`` before the first calibration.  Hook-free — a plain
+    attribute read that never fires the compose hook, so asking never
+    materializes flat state.  ``calibrate()`` installs a one-shard
+    bundle over its fresh arrays, a streaming wrapper installs every
+    bundle it composes, and snapshots and pool workers carry the
+    bundle they were built from.
+    """
+    return getattr(prom, "_segment_bundle", None)
 
 
 def bundle_manifest(bundle: SegmentBundle, export) -> dict:

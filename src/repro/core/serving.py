@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigurationError, RetryExhaustedError, ServingError
+from .segments import current_bundle
 from .triggers import observe_decisions
 
 #: queue backpressure policies accepted by :class:`AsyncServingLoop`
@@ -858,9 +859,9 @@ class AsyncServingLoop:
         streaming = self.interface.streaming
         frozen = freeze_interface(self.interface)
         previous = getattr(self, "_snapshot", None)
-        bundle = frozen.prom._segment_bundle
+        bundle = current_bundle(frozen.prom)
         shared = bundle.shared_shards_with(
-            previous.interface.prom._segment_bundle
+            current_bundle(previous.interface.prom)
             if previous is not None
             else None
         )
@@ -885,9 +886,7 @@ class AsyncServingLoop:
         # repair work moved off the decision path, not part of the
         # structural-sharing pointer swap.
         started = time.perf_counter()
-        view = bundle.evaluation_view()
-        if view is not None:
-            view.prewarm()
+        bundle.evaluation_view().prewarm()
         prewarm = time.perf_counter() - started
         self.stats.last_prewarm_seconds = prewarm
         self.stats.total_prewarm_seconds += prewarm

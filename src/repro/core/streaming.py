@@ -30,11 +30,11 @@ re-composed *segment-aware* (:mod:`repro.core.segments`): per-shard
 score/feature/label blocks stay immutable segments in a
 :class:`~repro.core.segments.SegmentBundle`, group counts are summed
 integer-exactly per segment, tau is re-resolved from a per-segment row
-gather, and the flat arrays the p-value scatter-adds consume are
-materialized lazily on the next detector read — so a fold costs
-``O(touched shards)``, never ``O(store)``.  The equivalence guarantee
-is unchanged: the materialized state is bit-identical to the old eager
-concatenation.  :meth:`detector_snapshot` builds structural-sharing
+gather, and ``evaluate()`` reads the bundle's blocks directly — so a
+fold costs ``O(touched shards)``, never ``O(store)``.  The detector's
+flat arrays are materialized lazily, only on a flat-state read, and
+are bit-identical to the old eager concatenation.
+:meth:`detector_snapshot` builds structural-sharing
 snapshots from the same bundle — untouched shards' blocks are shared
 (not copied) between consecutive publishes, which is what makes the
 async serving plane's snapshot publish ``O(touched shards)`` too
@@ -78,6 +78,7 @@ from .segments import (
     SegmentBundle,
     SegmentedField,
     TauSketch,
+    current_bundle,
     make_field,
 )
 from .sharding import ShardedCalibrationStore
@@ -125,45 +126,16 @@ class _ShardState:
     clusters: np.ndarray | None = field(default=None)
 
 
-class _LiveComposeHook:
-    """The live detector's compose hook, with a pending-bundle probe.
-
-    Calling it materializes the current bundle's flat arrays (the
-    descriptor protocol of
-    :class:`~repro.core.segments.ComposedStateAttr`); the extra
-    :meth:`pending_bundle` accessor lets the evaluate kernels see the
-    un-materialized bundle and run segment-direct *without* triggering
-    the flat concatenation — the same protocol
-    :class:`~repro.core.segments.BundleComposeHook` gives frozen
-    snapshots.
-    """
-
-    __slots__ = ("_wrapper",)
-
-    def __init__(self, wrapper):
-        self._wrapper = wrapper
-
-    def __call__(self) -> None:
-        self._wrapper._materialize_composed()
-
-    def pending_bundle(self):
-        """The bundle whose flat arrays are not materialized yet, or ``None``."""
-        wrapper = self._wrapper
-        bundle = wrapper._bundle
-        if bundle is None or wrapper._bundle_fresh:
-            return None
-        return bundle
-
-
 class _ShardMixin:
     """Shard, segment-compose and snapshot bookkeeping shared by both
     streaming wrappers.
 
     A calibrated wrapper holds the detector's global state as a
     :class:`~repro.core.segments.SegmentBundle` of immutable per-shard
-    blocks (``self._bundle``, ``None`` until the first calibration);
+    blocks, installed as the detector's current bundle (``_bundle``);
     the detector's flat arrays are materialized from it lazily on first
-    read (``self._bundle_fresh`` tracks whether they currently match).
+    flat read (``self._bundle_fresh`` tracks whether they currently
+    match).
     """
 
     #: compose spec, set per wrapper class: detector attribute ->
@@ -176,15 +148,18 @@ class _ShardMixin:
 
     def _init_compose(self) -> None:
         """Wire the detector to the lazy segment compose layer."""
-        self._bundle = None
         self._bundle_fresh = True
         self._tau_sketch = TauSketch()
-        # Installed as the detector's compose hook: any state read
-        # (evaluate, or a direct prom._features access) materializes
-        # the current bundle first, so laziness is never observable.
-        # The hook object additionally exposes the pending bundle, so
-        # evaluate can run segment-direct without firing it.
-        self.prom._compose_hook = _LiveComposeHook(self)
+        # Installed as the detector's compose hook: any flat state read
+        # (a direct prom._features access) materializes the current
+        # bundle first, so laziness is never observable.  Evaluate
+        # reads the bundle's view instead and never fires it.
+        self.prom._compose_hook = self._materialize_composed
+
+    @property
+    def _bundle(self):
+        """The detector's current bundle (``None`` before calibration)."""
+        return current_bundle(self.prom)
 
     def _materialize_composed(self) -> None:
         """Install the current bundle's flat arrays on the detector.
@@ -274,7 +249,7 @@ class _ShardMixin:
                         previous.score_fields[e] if previous else None,
                     )
                 )
-        self._bundle = SegmentBundle(
+        prom._segment_bundle = SegmentBundle(
             fields=fields,
             score_fields=tuple(score_fields),
             group_counts=tuple(
@@ -291,11 +266,17 @@ class _ShardMixin:
             # mutation (at most one generation is kept alive): panels
             # over untouched shards are inherited instead of
             # re-gathered when the new bundle's view is built.
-            self._bundle._inherit_view = (
+            prom._segment_bundle._inherit_view = (
                 previous._view
                 if previous._view is not None
                 else previous._inherit_view
             )
+        if not fresh:
+            # the detector's flat arrays describe a superseded bundle:
+            # drop them instead of pinning a stale generation (the next
+            # flat read materializes this one)
+            for name in (*fields, "_scores", "_layouts"):
+                delattr(prom, name)
         self._bundle_fresh = fresh
         return fields
 
@@ -344,9 +325,10 @@ class _ShardMixin:
         blocks are therefore *shared* (``np.shares_memory``) between
         consecutive snapshots; folds replace touched shards' blocks
         instead of mutating them, so shared blocks can never change
-        under a published snapshot.  Flat arrays are materialized on
-        the snapshot's first evaluate (or reused from the live detector
-        when it already materialized the same bundle).
+        under a published snapshot.  Evaluates read the bundle's view;
+        flat arrays are materialized only on the snapshot's first flat
+        read (or reused from the live detector when it already
+        materialized the same bundle).
         """
         self.prom._require_calibrated()
         prom = copy.copy(self.prom)
@@ -358,7 +340,6 @@ class _ShardMixin:
         prom._compose_hook = BundleComposeHook(
             prom, self._bundle, done=self._bundle_fresh
         )
-        prom._segment_bundle = self._bundle
         return prom
 
     @property
@@ -485,8 +466,9 @@ class StreamingPromClassifier(_ShardMixin):
     def calibration_size(self) -> int:
         """Number of calibration samples backing the detector.
 
-        Reading this on a lazily composed wrapper materializes the
-        flat state first (the value is always the store size).
+        Counted from the current bundle, so reading it never
+        materializes the flat state (the value is always the store
+        size).
         """
         return self.prom.calibration_size
 
@@ -729,8 +711,9 @@ class StreamingPromClassifier(_ShardMixin):
     # -- deployment (delegation) --------------------------------------------------
     def evaluate(self, features, probabilities, predicted_labels=None, chunk_size=None):
         """Batch-evaluate via the wrapped detector (see
-        :meth:`~repro.core.prom.PromClassifier.evaluate`); materializes
-        any pending lazy composition first."""
+        :meth:`~repro.core.prom.PromClassifier.evaluate`); reads the
+        current bundle's view and leaves any pending lazy composition
+        pending."""
         return self.prom.evaluate(features, probabilities, predicted_labels, chunk_size)
 
     def evaluate_one(self, feature, probability_row, predicted_label=None):
@@ -815,8 +798,9 @@ class StreamingPromRegressor(_ShardMixin):
     def calibration_size(self) -> int:
         """Number of calibration samples backing the detector.
 
-        Reading this on a lazily composed wrapper materializes the
-        flat state first (the value is always the store size).
+        Counted from the current bundle, so reading it never
+        materializes the flat state (the value is always the store
+        size).
         """
         return self.prom.calibration_size
 
@@ -1089,8 +1073,9 @@ class StreamingPromRegressor(_ShardMixin):
     # -- deployment (delegation) --------------------------------------------------
     def evaluate(self, features, predictions, chunk_size=None):
         """Batch-evaluate via the wrapped detector (see
-        :meth:`~repro.core.prom.PromRegressor.evaluate`); materializes
-        any pending lazy composition first."""
+        :meth:`~repro.core.prom.PromRegressor.evaluate`); reads the
+        current bundle's view and leaves any pending lazy composition
+        pending."""
         return self.prom.evaluate(features, predictions, chunk_size)
 
     def evaluate_one(self, feature, prediction):

@@ -55,6 +55,12 @@ class TestPL001SnapshotMutation:
         result = run_rule("PL001", "good_snapshot.py")
         assert result.findings == []
 
+    def test_current_bundle_and_its_view_are_sources(self):
+        result = run_rule("PL001", "bad_bundle_view.py")
+        assert all(finding.rule_id == "PL001" for finding in result.findings)
+        # two writes through the view, two through the bare bundle
+        assert finding_lines(result) == [15, 16, 23, 24]
+
     def test_alias_and_loop_propagation(self):
         result = run_rule("PL001", "bad_snapshot.py")
         messages = [finding.message for finding in result.findings]

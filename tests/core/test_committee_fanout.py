@@ -26,6 +26,7 @@ from repro.core import (
     PromRegressor,
     StreamingPromClassifier,
 )
+from repro.core.segments import current_bundle
 from repro.ml import MLPClassifier
 
 from ..conftest import make_blobs
@@ -105,7 +106,7 @@ def segmented_classifier():
     streaming.calibrate(*_classification(N_CAL - 200, seed=2))
     for round_id in range(3):
         streaming.update(*_classification(80, seed=10 + round_id))
-    assert prom_module._segment_view(streaming.prom) is not None
+    assert len(current_bundle(streaming.prom).evaluation_view().features.segments) == 4
     return streaming
 
 
@@ -126,7 +127,8 @@ class TestWidthIdentity:
         threads = lanes(3)
         wide = segmented_classifier.evaluate(features, probabilities)
         assert _pooled(threads) == 4
-        assert prom_module._segment_view(segmented_classifier.prom) is not None
+        view = current_bundle(segmented_classifier.prom).evaluation_view()
+        assert len(view.features.segments) == 4
         _assert_decisions_identical(serial, wide)
 
     def test_prediction_region_batch(self, lanes, classifier):

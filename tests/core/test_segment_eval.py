@@ -29,6 +29,7 @@ import pytest
 from repro.core import (
     BlockColumn,
     CandidatePruner,
+    CheckpointWriter,
     ConfigurationError,
     PromClassifier,
     PromRegressor,
@@ -38,15 +39,17 @@ from repro.core import (
     TauSketch,
     ValidationError,
     panel_bounds,
+    restore_checkpoint,
     segment_direct_supported,
 )
+from repro.core import blocks as blocks_module
 from repro.core.blocks import (
     PANEL_ROWS,
     SEGMENT_DIRECT_MIN_ROWS,
     flat_panels,
     panel_product,
 )
-from repro.core.prom import _pending_bundle
+from repro.core.segments import current_bundle
 from repro.core.weighting import AdaptiveWeighting
 
 ROUTERS = ("hash", "label", "cluster")
@@ -90,6 +93,16 @@ def _assert_decisions_identical(a, b):
     assert np.array_equal(a.credibility, b.credibility)
     assert np.array_equal(a.confidence, b.confidence)
     assert np.array_equal(a.drifting, b.drifting)
+
+
+def _assert_one_block(view):
+    columns = (view.features, view.labels, view.targets) + tuple(
+        layout.scores for layout in view.layouts
+    )
+    assert view.shard_ids == ()
+    assert all(
+        len(column.segments) == 1 for column in columns if column is not None
+    )
 
 
 def _large_classifier(router="hash", policy="fifo", n_shards=4, seed=1):
@@ -263,7 +276,7 @@ class TestSegmentDirectEquivalence:
         # the tentpole property: evaluate ran segment-direct — the
         # deferred flat concatenation never happened
         assert not streaming._bundle_fresh
-        assert _pending_bundle(streaming.prom) is not None
+        assert current_bundle(streaming.prom).fields["_features"].cached_flat is None
         fresh = PromClassifier().calibrate(
             streaming.store.column("features"),
             streaming.store.column("probabilities"),
@@ -282,30 +295,66 @@ class TestSegmentDirectEquivalence:
         test_features, test_predictions, _ = _regression_batch(30, seed=88)
         incremental = streaming.evaluate(test_features, test_predictions)
         assert not streaming._bundle_fresh
-        assert _pending_bundle(streaming.prom) is not None
+        assert current_bundle(streaming.prom).fields["_features"].cached_flat is None
         streaming.refresh(refit_clusters=False)
         reference = streaming.evaluate(test_features, test_predictions)
         _assert_decisions_identical(incremental, reference)
 
-    def test_small_sets_fall_back_to_flat_materialization(self):
+    def test_small_sets_read_one_block_views(self):
         streaming = StreamingPromClassifier(
             capacity=300, n_shards=4, router="hash", seed=0
         )
         streaming.calibrate(*_classification_batch(250, seed=5))
         streaming.update(*_classification_batch(20, seed=6))
         assert not streaming._bundle_fresh
-        assert streaming._bundle.evaluation_view() is None
+        view = streaming._bundle.evaluation_view()
+        # below the threshold every column is one block over the flat
+        # concatenation, with no shard structure for a pruner
+        _assert_one_block(view)
         test = _classification_batch(10, seed=7)
-        streaming.evaluate(test[0], test[1])
-        # below the threshold the evaluate materializes the flat state
-        assert streaming._bundle_fresh
+        decisions = streaming.evaluate(test[0], test[1])
+        # the evaluate read the view: the detector's flat state stays
+        # pending, and the decisions equal a fresh flat calibration's
+        assert not streaming._bundle_fresh
+        fresh = PromClassifier().calibrate(
+            streaming.store.column("features"),
+            streaming.store.column("probabilities"),
+            streaming.store.column("label"),
+        )
+        _assert_decisions_identical(decisions, fresh.evaluate(test[0], test[1]))
+
+    def test_probe_failure_reads_one_block_views(self, monkeypatch):
+        # the safety branch: on a BLAS that fails the runtime probe
+        # every column is one block over the flat concatenation, and
+        # the decisions equal the probe-passing per-shard run's
+        test = _classification_batch(30, seed=66, shift=0.5)
+        reg_test = _regression_batch(30, seed=67)[:2]
+
+        def run():
+            classifier = _large_classifier(router="cluster")
+            regressor = _large_regressor(router="cluster")
+            views = [s._bundle.evaluation_view() for s in (classifier, regressor)]
+            return views, (
+                classifier.evaluate(test[0], test[1]),
+                regressor.evaluate(*reg_test),
+            )
+
+        views, passing = run()
+        assert [len(view.features.segments) for view in views] == [4, 3]
+        monkeypatch.setattr(blocks_module, "_PROBE_RESULT", False)
+        views, failing = run()
+        for view in views:
+            _assert_one_block(view)
+        for a, b in zip(passing, failing):
+            _assert_decisions_identical(a, b)
 
     def test_snapshot_evaluates_segment_direct_and_stays_pending(self):
         streaming = _large_classifier()
         snapshot = streaming.detector_snapshot()
         test = _classification_batch(25, seed=55, shift=0.5)
         snap_decisions = snapshot.evaluate(test[0], test[1])
-        assert _pending_bundle(snapshot) is not None  # still not concat'ed
+        # still not concat'ed
+        assert current_bundle(snapshot).fields["_features"].cached_flat is None
         _assert_decisions_identical(
             snap_decisions, streaming.evaluate(test[0], test[1])
         )
@@ -455,6 +504,43 @@ class TestCandidatePruner:
         assert agreements[0] >= 0.4
         assert agreements[2] >= 0.8
         assert agreements[0] <= agreements[1] <= agreements[2]
+
+    def test_pruning_does_not_depend_on_flat_state(self, tmp_path):
+        # one state, one pruned answer: right after calibrate(), after
+        # a fold, after a read of the flat state and after a checkpoint
+        # restore, the pruner sees the same per-shard view
+        def runtime():
+            return StreamingPromClassifier(
+                capacity=3400, n_shards=4, router="cluster", seed=0
+            )
+
+        def pruned(streaming):
+            streaming.prom._pruner = CandidatePruner(
+                router=streaming.store.router, spill=0.0
+            )
+            batch = streaming.evaluate(features, probabilities)
+            assert batch.n_shards_pruned == 3 * len(features)
+            return batch
+
+        def assert_same(a, b):
+            _assert_decisions_identical(a, b)
+            assert a.n_candidates_scored == b.n_candidates_scored
+            assert a.n_shards_pruned == b.n_shards_pruned
+
+        features, probabilities, _ = _clustered_batch(200, seed=13, shift=1.5)
+        streaming = runtime()
+        streaming.calibrate(*_clustered_batch(3000, seed=11))
+        calibrated = pruned(streaming)
+        streaming.prom._features  # a flat-state read
+        assert_same(calibrated, pruned(streaming))
+        streaming.update(*_clustered_batch(60, seed=12, shift=1.5))
+        folded = pruned(streaming)
+        streaming.prom._features
+        assert_same(folded, pruned(streaming))
+        CheckpointWriter(tmp_path).checkpoint(streaming)
+        restored = runtime()
+        restore_checkpoint(restored, tmp_path)
+        assert_same(folded, pruned(restored))
 
     def test_regressor_full_spill_bit_identical(self):
         streaming = _large_regressor(router="cluster", policy="fifo")
