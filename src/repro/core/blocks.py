@@ -88,15 +88,20 @@ def flat_panels(array: np.ndarray) -> list:
     return [(c0, array[c0:c1]) for c0, c1 in panel_bounds(len(array))]
 
 
-def panel_product(test_rows: np.ndarray, panels, n_columns: int) -> np.ndarray:
+def panel_product(
+    test_rows: np.ndarray, panels, n_columns: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """``test_rows @ concat(panels).T`` as one GEMM per canonical panel.
 
     ``panels`` is the ``(start, rows)`` list from :func:`flat_panels`
     or :meth:`BlockColumn.panels`; results are bitwise interchangeable
     between the two backends because the call sequence is identical and
-    panel values are equal.
+    panel values are equal.  ``out`` is a preallocated ``(len(test_rows),
+    n_columns)`` block: only the columns of the given panels are written,
+    so the row fan-out deals a block's panels out to several lanes.
     """
-    out = np.empty((len(test_rows), n_columns))
+    if out is None:
+        out = np.empty((len(test_rows), n_columns))
     for c0, panel in panels:
         out[:, c0 : c0 + len(panel)] = test_rows @ panel.T
     return out

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
+from .blocks import panel_product
 from .clustering import CalibrationClusterer
 from .committee import Decision, DecisionBatch, ExpertCommittee
 from .exceptions import (
@@ -48,21 +49,27 @@ from .nonconformity import (
 from .pvalue import (
     bin_subset_by_label,
     group_scores_by_label,
-    pvalue_workspace,
     pvalues_all_labels,
     pvalues_from_binning,
 )
 from .scores import assess, assess_batch
 from .segments import ComposedStateAttr, SegmentBundle, current_bundle
-from .weighting import AdaptiveWeighting, iter_squared_distance_chunks, squared_distance_matrix
+from .weighting import (
+    AdaptiveWeighting,
+    check_feature_pair,
+    distance_row_blocks,
+    iter_squared_distance_chunks,
+    nearest_indices,
+    squared_distance_matrix,
+)
 
 #: soft bound on the number of float64 cells one evaluation chunk's
 #: largest temporary may hold (~16 MB).
 _EVALUATE_CELL_BUDGET = 2_000_000
 
-#: below this many selected cells (``n_test * k``) a chunk's experts
-#: run serially: a pool round trip costs more than it saves on small
-#: batches (about break-even at 8-32 rows of a 12k-row store).
+#: below this many selected cells (``n_test * k``) a chunk runs on one
+#: lane, the calling thread: a pool round trip costs more than it saves
+#: on small batches (DESIGN.md §2 has the break-even measurement).
 _FAN_OUT_MIN_CELLS = 262_144
 
 #: set in evaluator processes, whose parallelism is the process count
@@ -75,13 +82,13 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _fan_out_width(n_experts: int) -> int:
-    """Committee lanes: one per expert, at most one per available core."""
-    return 1 if _serial_committee else min(n_experts, _available_cores())
+def _fan_out_width(n_rows: int) -> int:
+    """Row lanes: at most one per available core and one per row."""
+    return 1 if _serial_committee else min(n_rows, _available_cores())
 
 
 def use_serial_committee() -> None:
-    """Run every committee of this process serially.
+    """Run every evaluate chunk of this process on one lane.
 
     Called once by each :class:`~repro.core.multiproc.ProcessServingPool`
     evaluator process: the pool already spreads requests over one
@@ -93,45 +100,118 @@ def use_serial_committee() -> None:
 
 
 @functools.lru_cache(maxsize=1)
-def _expert_pool() -> ThreadPoolExecutor:
-    """The process-wide committee pool, built on first fan-out."""
+def _lane_pool() -> ThreadPoolExecutor:
+    """The process-wide row-lane pool, built on first fan-out."""
     return ThreadPoolExecutor(
-        max_workers=_available_cores(), thread_name_prefix="prom-committee"
+        max_workers=_available_cores(), thread_name_prefix="prom-lane"
     )
 
 
-# A pool built before a fork has no threads in the child, where map()
-# would wait forever; the child builds its own on first use instead.
+# A pool built before a fork has no threads in the child, where a
+# submitted lane would wait forever; the child builds its own on first
+# use instead.
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_expert_pool.cache_clear)
+    os.register_at_fork(after_in_child=_lane_pool.cache_clear)
 
 
-def _fan_out(binning, experts, run_expert) -> list:
-    """``[run_expert(*expert, workspace) for expert in experts]``, fanned out.
+def _run_lanes(width: int, run_lane) -> list:
+    """``[run_lane(lane) for lane in range(width)]``, lanes in parallel.
 
-    Each expert's p-values and verdict are computed on their own, so
-    the results are bit-identical whichever thread runs them.  Experts
-    are dealt round-robin onto ``width`` lanes; each lane runs its
-    experts in turn on the process-wide pool with one
-    :func:`~repro.core.pvalue.pvalue_workspace`, allocated here in the
-    submitting thread (DESIGN.md §2).  Chunks under
-    :data:`_FAN_OUT_MIN_CELLS` selected cells run serially inline.
+    Lane 0 runs on the calling thread, the others on the process-wide
+    pool.  No lane ever waits on another, so evaluates sharing the pool
+    cannot deadlock it.
     """
-    experts = list(experts)
+    futures = [_lane_pool().submit(run_lane, lane) for lane in range(1, width)]
+    try:
+        first = run_lane(0)
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
+
+
+def _fan_out(prom, state, features, run_rows, n_nearest: int = 0) -> list:
+    """Run one evaluate chunk over row lanes; one result per lane, in row order.
+
+    Phase 1 issues the chunk's distance GEMMs exactly as
+    :func:`~repro.core.weighting.iter_squared_distance_chunks` would
+    (same row blocks, one GEMM per canonical panel), dealt round-robin
+    onto the lanes.  Phase 2 gives each lane a contiguous slice of the
+    rows: selection, the ``n_nearest`` nearest calibration rows (the
+    regressor's k-NN; ``None`` when 0), label binning and
+    ``run_rows(rows, nearest, binning, workspace)`` — the experts and
+    the vote.  Every step of phase 2 works row by row, so the results
+    are bit-identical at any width.  Chunks under
+    :data:`_FAN_OUT_MIN_CELLS` selected cells run on one lane.
+
+    The submitting thread allocates every ``O(rows x n)`` and
+    ``O(rows x k)`` buffer (DESIGN.md §2); each lane's
+    :func:`~repro.core.pvalue.pvalue_workspace` covers its own rows.
+    """
+    weighting = prom.weighting
+    calibration = state.features
+    check_feature_pair(features, calibration)
+    n_rows, n = len(features), len(calibration)
+    keep = weighting.keep_count(n)
     width = 1
-    if binning.flat_bins.size >= _FAN_OUT_MIN_CELLS:
-        width = _fan_out_width(len(experts))
-    workspaces = [pvalue_workspace(binning) for _ in range(width)]
-    if width == 1:
-        return [run_expert(*expert, workspaces[0]) for expert in experts]
+    if n_rows * keep >= _FAN_OUT_MIN_CELLS:
+        width = _fan_out_width(n_rows)
+    products = np.empty((n_rows, n))
+    gemms = [
+        (start, stop, panel)
+        for start, stop in distance_row_blocks(n_rows, n)
+        for panel in calibration.panels()
+    ]
+
+    def multiply(lane):
+        for start, stop, panel in gemms[lane::width]:
+            panel_product(features[start:stop], (panel,), n, out=products[start:stop])
+
+    _run_lanes(width, multiply)
+    indices = np.empty((n_rows, keep), dtype=int)
+    weights = np.empty((n_rows, keep))
+    bins = np.empty((n_rows, keep), dtype=int)
+    masks = np.empty((2, n_rows * keep), dtype=bool)
+    # the p-value score and threshold vectors take over each lane's
+    # distance rows, which nothing reads after selection and the k-NN;
+    # they fit whenever a row keeps at most half the calibration set
+    spare = None
+    if 2 * keep > n:
+        spare = np.empty((n_rows, 2 * keep))
+    edges = [n_rows * lane // width for lane in range(width + 1)]
+    lanes = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
     def run_lane(lane):
-        return [
-            run_expert(*expert, workspaces[lane]) for expert in experts[lane::width]
-        ]
+        rows = lanes[lane]
+        # the bins double as the selection's gather offsets, which are
+        # dead by the time the binning writes them
+        subset = weighting.select_batch(
+            calibration,
+            features[rows],
+            products=products[rows],
+            out=(indices[rows], None, weights[rows], bins[rows]),
+        )
+        nearest = None
+        if n_nearest:
+            nearest = nearest_indices(
+                products[rows], n_nearest, np.empty((len(subset), n_nearest), dtype=int)
+            )
+        binning = bin_subset_by_label(
+            subset,
+            state.labels,
+            state.n_labels,
+            weight_mode=prom.weight_mode,
+            out=bins[rows],
+        )
+        floats = (products if spare is None else spare)[rows].reshape(-1)
+        cells = (rows.stop - rows.start) * keep
+        workspace = (
+            floats[:cells],
+            floats[cells : 2 * cells],
+            masks[:, rows.start * keep : rows.stop * keep],
+        )
+        return run_rows(rows, nearest, binning, workspace)
 
-    lanes = list(_expert_pool().map(run_lane, range(width)))
-    return [lanes[i % width][i // width] for i in range(len(experts))]
+    return _run_lanes(width, run_lane)
 
 
 def _evaluation_chunk(n_calibration: int, chunk_size: int | None, n_labels: int = 1) -> int:
@@ -176,6 +256,15 @@ def _check_calibration_inputs(features, outputs, targets):
     ):
         raise ValidationError("calibration data contains NaN or inf")
     return features, outputs, targets
+
+
+def _check_rows(features, **columns) -> None:
+    """Raise :class:`ValidationError` unless every column has a row per feature row."""
+    for name, column in columns.items():
+        if len(column) != len(features):
+            raise ValidationError(
+                f"{len(features)} feature rows but {len(column)} {name} rows"
+            )
 
 
 class PromClassifier:
@@ -314,6 +403,16 @@ class PromClassifier:
         if predicted_labels is None:
             predicted_labels = np.argmax(probabilities, axis=1)
         predicted_labels = np.asarray(predicted_labels, dtype=int).ravel()
+        # the evaluate lanes slice every input by row: misaligned or
+        # out-of-range inputs must fail here, not inside a lane
+        _check_rows(features, probabilities=probabilities, predicted_labels=predicted_labels)
+        if len(predicted_labels) and (
+            predicted_labels.min() < 0 or predicted_labels.max() >= self._n_classes
+        ):
+            raise ValidationError(
+                f"predicted labels must lie in [0, {self._n_classes}), got "
+                f"{predicted_labels.min()}..{predicted_labels.max()}"
+            )
         return features, probabilities, predicted_labels
 
     # -- deployment --------------------------------------------------------------
@@ -383,48 +482,40 @@ class PromClassifier:
         chunk = _evaluation_chunk(
             len(state.features), chunk_size, self._n_classes
         )
-        chunks = [
-            self._evaluate_chunk(
+        lanes = [
+            lane
+            for start in range(0, len(features), chunk)
+            for lane in self._evaluate_chunk(
                 features[start : start + chunk],
                 probabilities[start : start + chunk],
                 predicted_labels[start : start + chunk],
                 state,
             )
-            for start in range(0, len(features), chunk)
         ]
         return DecisionBatch.concatenate(
-            chunks, expert_names=tuple(f.name for f in self.functions)
+            lanes, expert_names=tuple(f.name for f in self.functions)
         )
 
-    def _evaluate_chunk(
-        self, features, probabilities, predicted_labels, state
-    ) -> DecisionBatch:
-        binning = self._binning(state, features)
+    def _evaluate_chunk(self, features, probabilities, predicted_labels, state) -> list:
+        """One chunk's committee decisions, one :class:`DecisionBatch` per lane."""
 
-        def run_expert(function, layout, workspace):
-            return assess_batch(
-                self._expert_pvalues(
-                    function, layout, binning, probabilities, workspace
-                ),
-                predicted_labels,
-                epsilon=self.epsilon,
-                gaussian_scale=self.gaussian_scale,
-                credibility_threshold=self.credibility_threshold,
-                confidence_threshold=self.confidence_threshold,
-                function_name=function.name,
+        def run_rows(rows, nearest, binning, workspace):
+            return self.committee.decide_batch(
+                assess_batch(
+                    self._expert_pvalues(
+                        function, layout, binning, probabilities[rows], workspace
+                    ),
+                    predicted_labels[rows],
+                    epsilon=self.epsilon,
+                    gaussian_scale=self.gaussian_scale,
+                    credibility_threshold=self.credibility_threshold,
+                    confidence_threshold=self.confidence_threshold,
+                    function_name=function.name,
+                )
+                for function, layout in zip(self.functions, state.layouts)
             )
 
-        return self.committee.decide_batch(
-            _fan_out(binning, zip(self.functions, state.layouts), run_expert)
-        )
-
-    def _binning(self, state, features):
-        # Selection, weights and labels are expert-independent: bin them
-        # once and share across the committee.
-        subset = self.weighting.select_batch(state.features, features)
-        return bin_subset_by_label(
-            subset, state.labels, self._n_classes, weight_mode=self.weight_mode
-        )
+        return _fan_out(self, state, features, run_rows)
 
     def _expert_pvalues(self, function, layout, binning, probabilities, workspace):
         return pvalues_from_binning(
@@ -512,21 +603,20 @@ class PromClassifier:
         membership = np.empty((len(features), self._n_classes), dtype=bool)
         for start in range(0, len(features), chunk):
             stop = min(len(features), start + chunk)
-            binning = self._binning(state, features[start:stop])
             chunk_probabilities = probabilities[start:stop]
 
-            def run_expert(function, layout, workspace):
-                pvalues = self._expert_pvalues(
-                    function, layout, binning, chunk_probabilities, workspace
-                )
-                return pvalues > self.epsilon
+            def run_rows(rows, nearest, binning, workspace):
+                inclusion_votes = np.zeros((len(binning.indices), self._n_classes))
+                for function, layout in zip(self.functions, state.layouts):
+                    pvalues = self._expert_pvalues(
+                        function, layout, binning, chunk_probabilities[rows], workspace
+                    )
+                    inclusion_votes += (pvalues > self.epsilon).astype(float)
+                return inclusion_votes > 0.5 * len(self.functions)
 
-            inclusion_votes = np.zeros((stop - start, self._n_classes))
-            for included in _fan_out(
-                binning, zip(self.functions, state.layouts), run_expert
-            ):
-                inclusion_votes += included.astype(float)
-            membership[start:stop] = inclusion_votes > 0.5 * len(self.functions)
+            membership[start:stop] = np.concatenate(
+                _fan_out(self, state, features[start:stop], run_rows)
+            )
         return membership
 
 
@@ -655,6 +745,14 @@ class PromRegressor:
         if not self.is_calibrated:
             raise NotCalibratedError("call calibrate() before evaluating samples")
 
+    def _check_evaluate_inputs(self, features, predictions):
+        features = np.asarray(features, dtype=float)
+        predictions = np.asarray(predictions, dtype=float).ravel()
+        if features.ndim == 1:
+            features = features.reshape(1, -1)
+        _check_rows(features, predictions=predictions)
+        return features, predictions
+
     def _loo_targets(self, features: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Leave-one-out k-NN approximation of each calibration target."""
         n = len(features)
@@ -721,10 +819,7 @@ class PromRegressor:
         shard restriction, and the ``_chunk_size`` default.
         """
         self._require_calibrated()
-        features = np.asarray(features, dtype=float)
-        predictions = np.asarray(predictions, dtype=float).ravel()
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
+        features, predictions = self._check_evaluate_inputs(features, predictions)
         if chunk_size is None:
             chunk_size = getattr(self, "_chunk_size", None)
         view = current_bundle(self).evaluation_view()
@@ -743,56 +838,63 @@ class PromRegressor:
         chunk = _evaluation_chunk(
             len(state.features), chunk_size, self.clusterer_.k_
         )
-        chunks = [
-            self._evaluate_chunk(
+        lanes = [
+            lane
+            for start in range(0, len(features), chunk)
+            for lane in self._evaluate_chunk(
                 features[start : start + chunk],
                 predictions[start : start + chunk],
                 state,
             )
-            for start in range(0, len(features), chunk)
         ]
         return DecisionBatch.concatenate(
-            chunks, expert_names=tuple(f.name for f in self.score_functions)
+            lanes, expert_names=tuple(f.name for f in self.score_functions)
         )
 
-    def _evaluate_chunk(self, features, predictions, state) -> DecisionBatch:
-        approx_targets = self._approximate_targets(features, state)
-        subset = self.weighting.select_batch(state.features, features)
+    def _evaluate_chunk(self, features, predictions, state) -> list:
+        """One chunk's committee decisions, one :class:`DecisionBatch` per lane.
+
+        Each lane takes its k-NN target estimates from the distance rows
+        its selection just finished: the same GEMM
+        :meth:`approximate_target_batch` issues, so the same bits.
+        """
+        k = min(self.k_neighbors, len(state.features))
         n_clusters = self.clusterer_.k_
-        binning = bin_subset_by_label(
-            subset, state.labels, n_clusters, weight_mode=self.weight_mode
-        )
         assigned_clusters = np.asarray(
             self.clusterer_.assign(features), dtype=int
         )
 
-        def run_expert(function, layout, workspace):
-            test_scores = function.score(predictions, approx_targets)
-            # The same residual score stands in for every candidate
-            # cluster (the scalar path's np.full, batched).
-            test_matrix = np.repeat(
-                np.asarray(test_scores, dtype=float)[:, None], n_clusters, axis=1
-            )
-            pvalues = pvalues_from_binning(
-                layout,
-                binning,
-                test_matrix,
-                weight_mode=self.weight_mode,
-                out=workspace,
-            )
-            return assess_batch(
-                pvalues,
-                assigned_clusters,
-                epsilon=self.epsilon,
-                gaussian_scale=self.gaussian_scale,
-                credibility_threshold=self.credibility_threshold,
-                confidence_threshold=self.confidence_threshold,
-                function_name=function.name,
-            )
+        def run_rows(rows, nearest, binning, workspace):
+            approx_targets = state.targets[nearest].mean(axis=1)
+            experts = []
+            for function, layout in zip(self.score_functions, state.layouts):
+                test_scores = function.score(predictions[rows], approx_targets)
+                # The same residual score stands in for every candidate
+                # cluster (the scalar path's np.full, batched).
+                test_matrix = np.repeat(
+                    np.asarray(test_scores, dtype=float)[:, None], n_clusters, axis=1
+                )
+                pvalues = pvalues_from_binning(
+                    layout,
+                    binning,
+                    test_matrix,
+                    weight_mode=self.weight_mode,
+                    out=workspace,
+                )
+                experts.append(
+                    assess_batch(
+                        pvalues,
+                        assigned_clusters[rows],
+                        epsilon=self.epsilon,
+                        gaussian_scale=self.gaussian_scale,
+                        credibility_threshold=self.credibility_threshold,
+                        confidence_threshold=self.confidence_threshold,
+                        function_name=function.name,
+                    )
+                )
+            return self.committee.decide_batch(experts)
 
-        return self.committee.decide_batch(
-            _fan_out(binning, zip(self.score_functions, state.layouts), run_expert)
-        )
+        return _fan_out(self, state, features, run_rows, n_nearest=k)
 
     def evaluate_serial(self, features, predictions) -> list:
         """Per-sample reference implementation (pre-batch engine).
@@ -801,10 +903,7 @@ class PromRegressor:
         benchmarks; production callers should use :meth:`evaluate`.
         """
         self._require_calibrated()
-        features = np.asarray(features, dtype=float)
-        predictions = np.asarray(predictions, dtype=float).ravel()
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
+        features, predictions = self._check_evaluate_inputs(features, predictions)
         return [
             self._evaluate_one_serial(features[i], float(predictions[i]))
             for i in range(len(features))

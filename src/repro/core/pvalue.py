@@ -304,6 +304,7 @@ def bin_subset_by_label(
     calibration_labels: np.ndarray,
     n_labels: int,
     weight_mode: str = "count",
+    out: np.ndarray | None = None,
 ) -> SubsetBinning:
     """Build the shared :class:`SubsetBinning` for one evaluation batch.
 
@@ -312,7 +313,9 @@ def bin_subset_by_label(
     the selection gather then reads its gather base (a gather is exact,
     so the binning is bit-identical to the flat path).  ``counts`` is
     built only for ``weight_mode="multiply"``, the one mode that reads
-    it.
+    it.  ``out`` is an ``(n_test, k)`` integer buffer the bins are
+    written into instead of a fresh array (the evaluate row fan-out
+    passes each lane its rows of one submitter-owned buffer).
     """
     if weight_mode not in WEIGHT_MODES:
         raise ConfigurationError(f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
@@ -322,7 +325,11 @@ def bin_subset_by_label(
     n_test = len(indices)
     # the selected labels become the bins in place: row offsets are
     # added to the gathered labels, never to a second (n_test, k) copy
-    flat_bins = np.take(labels, indices.reshape(-1)).astype(int, copy=False)
+    if out is None:
+        flat_bins = np.take(labels, indices.reshape(-1)).astype(int, copy=False)
+    else:
+        flat_bins = out.reshape(-1)
+        np.take(labels.astype(int, copy=False), indices.reshape(-1), out=flat_bins, mode="wrap")
     bins = flat_bins.reshape(indices.shape)
     bins += (np.arange(n_test) * n_labels)[:, None]
     return SubsetBinning(
@@ -347,8 +354,9 @@ def pvalue_workspace(binning: SubsetBinning) -> tuple:
     ``(values, thresholds, masks)``: two float vectors and a ``(2,
     n_test * k)`` boolean matrix, every cell overwritten by each call,
     so one workspace serves any number of experts in turn (never two at
-    once).  The committee fan-out allocates them in the submitting
-    thread — see DESIGN.md §2 for the per-thread-arena reason.
+    once).  The evaluate row fan-out gives each lane one of these over
+    its own rows, carved from buffers the submitting thread owns — see
+    DESIGN.md §2 for the per-thread-arena reason.
     """
     size = binning.flat_bins.size
     return np.empty(size), np.empty(size), np.empty((2, size), dtype=bool)

@@ -30,12 +30,76 @@ TAU_MAX_ROWS = 200
 TAU_SEED = 0
 
 
+#: rows per ``argpartition`` call of the selection kernels.  NumPy's
+#: ``argpartition`` cannot write into a preallocated buffer, so every
+#: call allocates a ``(rows, n)`` index matrix; a chunk-sized one made
+#: on a pool thread comes from glibc's per-thread arena with hundreds of
+#: page faults per call, while a 4-row tile stays small and reuses the
+#: same memory (DESIGN.md §2).  Each row is partitioned on its own, so
+#: the tile size changes no result.
+PARTITION_TILE_ROWS = 4
+
+
 def _auto_chunk(n_columns: int, chunk_size: int | None = None) -> int:
     if chunk_size is not None:
         if chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
         return chunk_size
     return max(1, DISTANCE_CELL_BUDGET // max(1, n_columns))
+
+
+def distance_row_blocks(n_test: int, n_calibration: int, chunk_size=None) -> list:
+    """The ``(start, stop)`` test-row blocks of the distance GEMM.
+
+    Each block is one GEMM per canonical panel
+    (:func:`~repro.core.blocks.panel_bounds`).  A GEMM's bits depend on
+    its operand shapes, so every kernel that must reproduce
+    :func:`iter_squared_distance_chunks` bitwise issues its GEMMs over
+    exactly these rows.
+    """
+    chunk = _auto_chunk(n_calibration, chunk_size)
+    return [
+        (start, min(n_test, start + chunk)) for start in range(0, n_test, chunk)
+    ]
+
+
+def check_feature_pair(test: np.ndarray, calibration) -> None:
+    """Raise :class:`ValidationError` unless both are 2-D and agree in width."""
+    if calibration.ndim != 2 or test.ndim != 2:
+        raise ValidationError("feature arrays must be 2-D")
+    if test.shape[1] != calibration.shape[1]:
+        raise ValidationError(
+            f"feature dimensionality mismatch: calibration has "
+            f"{calibration.shape[1]}, test has {test.shape[1]}"
+        )
+
+
+def finish_squared_distances(products, test_rows, calibration_sq) -> np.ndarray:
+    """Turn the GEMM block ``test_rows @ calibration.T`` into squared
+    distances in place (``||a||^2 + ||b||^2 - 2 a.b``, clipped at 0).
+
+    Elementwise over rows that are each reduced on their own, so
+    finishing a block row slice by row slice gives the same bits.
+    """
+    products *= -2.0
+    products += np.einsum("ij,ij->i", test_rows, test_rows)[:, None]
+    products += calibration_sq[None, :]
+    np.clip(products, 0.0, None, out=products)
+    return products
+
+
+def nearest_indices(distances, keep: int, out: np.ndarray) -> np.ndarray:
+    """``out[:] = np.argpartition(distances, keep - 1, axis=1)[:, :keep]``.
+
+    Partitioned :data:`PARTITION_TILE_ROWS` rows at a time, so no
+    ``(rows, n)`` index matrix is ever allocated whole.
+    """
+    for start in range(0, len(distances), PARTITION_TILE_ROWS):
+        stop = start + PARTITION_TILE_ROWS
+        out[start:stop] = np.argpartition(
+            distances[start:stop], keep - 1, axis=1
+        )[:, :keep]
+    return out
 
 
 def iter_squared_distance_chunks(test_features, calibration_features, chunk_size=None):
@@ -57,25 +121,13 @@ def iter_squared_distance_chunks(test_features, calibration_features, chunk_size
     calibration = as_block_column(calibration_features, dtype=float)
     if test.ndim == 1:
         test = test.reshape(1, -1)
-    if calibration.ndim != 2 or test.ndim != 2:
-        raise ValidationError("feature arrays must be 2-D")
-    if test.shape[1] != calibration.shape[1]:
-        raise ValidationError(
-            f"feature dimensionality mismatch: calibration has "
-            f"{calibration.shape[1]}, test has {test.shape[1]}"
-        )
+    check_feature_pair(test, calibration)
     calibration_sq = calibration.row_norms()
     panels = calibration.panels()
-    chunk = _auto_chunk(len(calibration), chunk_size)
-    for start in range(0, len(test), chunk):
-        stop = min(len(test), start + chunk)
+    for start, stop in distance_row_blocks(len(test), len(calibration), chunk_size):
         block_rows = test[start:stop]
         block = panel_product(block_rows, panels, len(calibration))
-        block *= -2.0
-        block += np.einsum("ij,ij->i", block_rows, block_rows)[:, None]
-        block += calibration_sq[None, :]
-        np.clip(block, 0.0, None, out=block)
-        yield start, stop, block
+        yield start, stop, finish_squared_distances(block, block_rows, calibration_sq)
 
 
 def squared_distance_matrix(A, B=None, chunk_size=None) -> np.ndarray:
@@ -154,12 +206,13 @@ class CalibrationSubsetBatch:
 
     Attributes:
         indices: selected calibration positions, one row per test sample.
-        distances: Euclidean distances aligned with ``indices``.
+        distances: Euclidean distances aligned with ``indices``;
+            ``None`` when the selection was asked to skip them.
         weights: exponential distance weights aligned with ``indices``.
     """
 
     indices: np.ndarray
-    distances: np.ndarray
+    distances: np.ndarray | None
     weights: np.ndarray
 
     def __len__(self) -> int:
@@ -284,17 +337,26 @@ class AdaptiveWeighting:
             weights=weights,
         )
 
+    def keep_count(self, n_calibration: int) -> int:
+        """Calibration rows each test sample selects out of ``n_calibration``."""
+        if n_calibration < self.min_samples:
+            return n_calibration
+        return max(1, int(round(n_calibration * self.fraction)))
+
     def select_batch(
         self,
         calibration_features: np.ndarray,
         test_features: np.ndarray,
         chunk_size: int | None = None,
+        *,
+        products: np.ndarray | None = None,
+        out: tuple | None = None,
     ) -> CalibrationSubsetBatch:
         """Return the weighted nearest subsets for a batch of test samples.
 
         The test-vs-calibration distance matrix is computed in
         memory-bounded chunks via the dot-product identity; selection
-        and weighting are then a per-row ``argpartition`` plus one
+        and weighting are then a row-tiled ``argpartition`` plus one
         vectorized ``exp``, so the whole batch costs a handful of NumPy
         kernels instead of ``n_test`` Python iterations of
         :meth:`select`.
@@ -302,49 +364,76 @@ class AdaptiveWeighting:
         ``calibration_features`` may be a
         :class:`~repro.core.blocks.BlockColumn`; selection then runs
         segment-direct (bit-identical — DESIGN.md §9).
+
+        The evaluate row fan-out (DESIGN.md §2) calls this once per
+        lane, on the lane's rows: ``products`` is then their rows of the
+        chunk's GEMM block ``test @ calibration.T``, finished into
+        squared distances in place (the regressor's k-NN reads them
+        afterwards), and ``out`` is ``(indices, distances, weights,
+        offsets)`` — ``(n_test, keep)`` buffers to fill instead of
+        allocating.  ``offsets`` receives the flat gather
+        positions (``None`` is fine when every row is kept), and
+        ``distances=None`` skips the kept distances (and their
+        ``sqrt``): the evaluate pipeline reads only indices and
+        weights, and the result's ``distances`` is then ``None``.
         """
         features = as_block_column(calibration_features, dtype=float)
         test = np.asarray(test_features, dtype=float)
         if test.ndim == 1:
             test = test.reshape(1, -1)
-        if features.ndim != 2:
-            raise ValidationError("calibration_features must be 2-D")
-        if features.shape[1] != test.shape[1]:
-            raise ValidationError(
-                f"feature dimensionality mismatch: calibration has "
-                f"{features.shape[1]}, test has {test.shape[1]}"
-            )
+        check_feature_pair(test, features)
         n = len(features)
         n_test = len(test)
-        keep = n if n < self.min_samples else max(1, int(round(n * self.fraction)))
+        keep = self.keep_count(n)
         tau = self._resolved_tau
         if tau is None:
             tau = self.resolve_tau(calibration_features)
-
-        indices = np.empty((n_test, keep), dtype=int)
-        squared = np.empty((n_test, keep))
-        for start, stop, block in iter_squared_distance_chunks(
-            test, features, chunk_size
-        ):
+        if out is None:
+            out = (
+                np.empty((n_test, keep), dtype=int),
+                np.empty((n_test, keep)),
+                np.empty((n_test, keep)),
+                None if keep == n else np.empty((n_test, keep), dtype=int),
+            )
+        indices, distances, weights, offsets = out
+        # without a distances buffer the kept squared distances are
+        # gathered straight into the weights and weighed in place
+        squared = weights if distances is None else distances
+        if products is None:
+            blocks = iter_squared_distance_chunks(test, features, chunk_size)
+        else:
+            blocks = [
+                (0, n_test, finish_squared_distances(products, test, features.row_norms()))
+            ]
+        for start, stop, block in blocks:
             if keep == n:
                 indices[start:stop] = np.arange(n)
                 squared[start:stop] = block
                 continue
-            indices[start:stop] = np.argpartition(block, keep - 1, axis=1)[:, :keep]
+            nearest_indices(block, keep, indices[start:stop])
             # one flat gather straight into the output rows (no
             # fancy-index temporary); mode="wrap" skips the hidden
             # bounds-check copy that out= takes under the default mode
-            flat = indices[start:stop] + (np.arange(stop - start) * n)[:, None]
+            flat = np.add(
+                indices[start:stop],
+                (np.arange(stop - start) * n)[:, None],
+                out=offsets[start:stop],
+            )
             np.take(block.reshape(-1), flat, out=squared[start:stop], mode="wrap")
-        weights = squared / -tau
-        np.exp(weights, out=weights)
-        np.maximum(weights, self.weight_floor, out=weights)
-        np.sqrt(squared, out=squared)
+        self._weigh(squared, tau, weights)
+        if distances is not None:
+            np.sqrt(distances, out=distances)
         return CalibrationSubsetBatch(
             indices=indices,
-            distances=squared,
+            distances=distances,
             weights=weights,
         )
+
+    def _weigh(self, squared, tau, out) -> None:
+        """Exponential distance weights of the kept squared distances."""
+        np.divide(squared, -tau, out=out)
+        np.exp(out, out=out)
+        np.maximum(out, self.weight_floor, out=out)
 
     def adjusted_scores(self, scores: np.ndarray, subset: CalibrationSubset) -> np.ndarray:
         """Return the distance-weighted scores of the selected subset.
@@ -378,16 +467,6 @@ class UniformWeighting(AdaptiveWeighting):
             weights=np.ones(n),
         )
 
-    def select_batch(
-        self, calibration_features, test_features, chunk_size=None
-    ) -> CalibrationSubsetBatch:
-        test = np.asarray(test_features, dtype=float)
-        if test.ndim == 1:
-            test = test.reshape(1, -1)
-        n = len(calibration_features)
-        squared = squared_distance_matrix(test, calibration_features, chunk_size)
-        return CalibrationSubsetBatch(
-            indices=np.broadcast_to(np.arange(n), (len(test), n)),
-            distances=np.sqrt(squared),
-            weights=np.ones((len(test), n)),
-        )
+    def _weigh(self, squared, tau, out) -> None:
+        """Unit weights: every calibration sample counts in full."""
+        out.fill(1.0)
